@@ -13,6 +13,7 @@ import numpy as np
 
 from .experiment import (
     ConfigError,
+    _parse_pair,
     default_config,
     emit_csv,
     emit_summary,
@@ -21,8 +22,6 @@ from .experiment import (
     sigma_from_snr_db,
 )
 from .model import (
-    GridSpec,
-    KernelSpec,
     apply_precoding,
     build_row_covariance,
     observe,
@@ -50,36 +49,20 @@ def _add_overrides(parser, with_seeds: bool):
         parser.add_argument("--seeds", type=int, help="number of random seeds")
 
 
-def _parse_pair(text: str, what: str):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ConfigError(f"{what} must look like HxW, got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"{what} components must be integers: {text!r}") from exc
-
-
 def _apply_overrides(config, args):
     try:
         grid = config.grid
         kernel = config.kernel
         if args.grid:
-            h, w = _parse_pair(args.grid, "--grid")
-            grid = GridSpec(h, w, grid.block_rows, grid.block_cols, grid.antennas)
+            h, w = _parse_pair(args.grid, "x", "--grid")
+            grid = replace(grid, height_blocks=h, width_blocks=w)
         if args.block:
-            r, c = _parse_pair(args.block, "--block")
-            grid = GridSpec(grid.height_blocks, grid.width_blocks, r, c, grid.antennas)
+            r, c = _parse_pair(args.block, "x", "--block")
+            grid = replace(grid, block_rows=r, block_cols=c)
         if args.antennas is not None:
-            grid = GridSpec(
-                grid.height_blocks,
-                grid.width_blocks,
-                grid.block_rows,
-                grid.block_cols,
-                args.antennas,
-            )
+            grid = replace(grid, antennas=args.antennas)
         if args.lengthscale is not None:
-            kernel = KernelSpec(length_scale=args.lengthscale, jitter=kernel.jitter)
+            kernel = replace(kernel, length_scale=args.lengthscale)
         updates = {"grid": grid, "kernel": kernel}
         if getattr(args, "seeds", None) is not None:
             updates["seeds"] = args.seeds

@@ -14,6 +14,8 @@ Conventions
   ``(a // block_cols, a % block_cols)``; cell ``(r, c)`` of the block at
   lattice position ``(R, C)`` sits at absolute grid coordinates
   ``(R * block_rows + r, C * block_cols + c)``.
+* A field of N blocks is one float (N, D, d) array and a pose set one
+  (N, d, d) array, both in block index order.
 * The stacked signal is the (N*D) x d matrix of all blocks in index order;
   its columns are i.i.d. N(0, U).
 """
@@ -34,11 +36,9 @@ __all__ = [
     "PoseSet",
     "ObservationSet",
     "CovarianceTiles",
-    "TripletCovariance",
     "NotPositiveDefiniteError",
     "InvalidTripletError",
     "build_row_covariance",
-    "subslice_covariance",
     "split_triplet_tiles",
     "sample_channel",
     "sample_pose_set",
@@ -226,13 +226,6 @@ class CovarianceTiles(NamedTuple):
     uc: np.ndarray
 
 
-class TripletCovariance(NamedTuple):
-    """A triplet's assembled 3D x 3D covariance plus its six named tiles."""
-
-    matrix: np.ndarray
-    tiles: CovarianceTiles
-
-
 def split_triplet_tiles(matrix: np.ndarray, block_size: int) -> CovarianceTiles:
     """Split a 3D x 3D matrix into the six named D x D tiles.
 
@@ -267,39 +260,36 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
     return RowCovariance(u, grid.block_cells)
 
 
-def subslice_covariance(
-    cov: RowCovariance, blocks: Sequence[int]
-) -> TripletCovariance:
-    """Extract the 3D x 3D principal submatrix of an ordered block triple.
+def _matrix_stack(matrices, empty: str, mixed: str) -> np.ndarray:
+    """Validate N equally-shaped matrices into one float (N, rows, cols) array.
 
-    Returns the assembled matrix together with the six named tiles. Note the
-    tiles here are tiles of the covariance itself; estimators that need tiles
-    of a (negated, noise-augmented) inverse must invert first and then call
-    :func:`split_triplet_tiles` on the result.
+    Accepts an (N, rows, cols) array or a sequence of 2-D matrices. Raises
+    ValueError with ``empty`` when there are none and with ``mixed`` when
+    they are not 2-D matrices of one common shape.
     """
-    blocks = list(blocks)
-    if len(blocks) != 3:
-        raise InvalidTripletError(f"expected exactly three block indices, got {blocks}")
-    sub = cov.submatrix(blocks)
-    return TripletCovariance(sub, split_triplet_tiles(sub, cov.block_size))
+    try:
+        stack = np.asarray(matrices, dtype=float)
+    except ValueError as exc:  # ragged shapes cannot form one array
+        raise ValueError(mixed) from exc
+    if stack.ndim >= 1 and len(stack) == 0:
+        raise ValueError(empty)
+    if stack.ndim != 3:
+        raise ValueError(mixed)
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
 class ChannelField:
-    """An ordered collection of equally-shaped D x d block matrices."""
+    """N equally-shaped D x d block matrices as one (N, D, d) array."""
 
-    blocks: tuple
+    blocks: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
-        if not blocks:
-            raise ValueError("a channel field needs at least one block")
-        shape = blocks[0].shape
-        if len(shape) != 2:
-            raise ValueError("blocks must be 2-D matrices")
-        for b in blocks:
-            if b.shape != shape:
-                raise ValueError("all blocks must share one shape")
+        blocks = _matrix_stack(
+            self.blocks,
+            "a channel field needs at least one block",
+            "blocks must be 2-D matrices of one common shape",
+        )
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -308,40 +298,36 @@ class ChannelField:
 
     @property
     def block_shape(self) -> tuple[int, int]:
-        return self.blocks[0].shape
+        return self.blocks.shape[1:]
 
     def stacked(self) -> np.ndarray:
         """All blocks stacked vertically into one (N*D) x d matrix."""
-        return np.vstack(self.blocks)
+        return self.blocks.reshape(-1, self.blocks.shape[2])
 
     @classmethod
     def from_stacked(cls, stacked: np.ndarray, block_size: int) -> "ChannelField":
         stacked = np.asarray(stacked, dtype=float)
         if stacked.shape[0] % block_size != 0:
             raise ValueError("stacked row count must be a multiple of block_size")
-        n = stacked.shape[0] // block_size
-        return cls(tuple(stacked[i * block_size : (i + 1) * block_size] for i in range(n)))
+        return cls(stacked.reshape(-1, block_size, *stacked.shape[1:]))
 
 
 @dataclass(frozen=True, eq=False)
 class PoseSet:
-    """Per-block d x d rotations (orthogonal, determinant +1)."""
+    """Per-block d x d rotations (orthogonal, determinant +1) as one (N, d, d) array."""
 
-    poses: tuple
+    poses: np.ndarray
 
     def __post_init__(self):
-        poses = tuple(np.asarray(p, dtype=float) for p in self.poses)
-        if not poses:
-            raise ValueError("a pose set needs at least one pose")
-        shape = poses[0].shape
-        if len(shape) != 2 or shape[0] != shape[1] or any(p.shape != shape for p in poses):
-            raise ValueError("all poses must be square with one common size")
+        mixed = "all poses must be square with one common size"
+        poses = _matrix_stack(self.poses, "a pose set needs at least one pose", mixed)
+        if poses.shape[1] != poses.shape[2]:
+            raise ValueError(mixed)
         # one stacked check covers every pose; NaN fails both comparisons
-        stack = np.stack(poses)
-        gram = np.swapaxes(stack, 1, 2) @ stack
-        if not np.all(np.linalg.norm(gram - np.eye(shape[0]), axis=(1, 2)) < ORTHOGONALITY_TOL):
+        defect = np.swapaxes(poses, 1, 2) @ poses - np.eye(poses.shape[1])
+        if not np.all(np.linalg.norm(defect, axis=(1, 2)) < ORTHOGONALITY_TOL):
             raise ValueError("pose is not orthogonal to 1e-10")
-        if not np.all(np.abs(np.linalg.det(stack) - 1.0) < ORTHOGONALITY_TOL):
+        if not np.all(np.abs(np.linalg.det(poses) - 1.0) < ORTHOGONALITY_TOL):
             raise ValueError("pose determinant is not +1")
         object.__setattr__(self, "poses", poses)
 
@@ -351,24 +337,24 @@ class PoseSet:
 
     @property
     def dim(self) -> int:
-        return self.poses[0].shape[0]
+        return self.poses.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
 class ObservationSet:
-    """Noisy per-block observations together with the noise level used."""
+    """Noisy per-block observations as one (N, D, d) array, with the noise level used."""
 
-    blocks: tuple
+    blocks: np.ndarray
     noise_sigma: float
 
     def __post_init__(self):
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be non-negative")
-        blocks = tuple(np.asarray(b, dtype=float) for b in self.blocks)
-        shape = blocks[0].shape
-        for b in blocks:
-            if b.shape != shape:
-                raise ValueError("all observation blocks must share one shape")
+        blocks = _matrix_stack(
+            self.blocks,
+            "an observation set needs at least one block",
+            "all observation blocks must be 2-D matrices of one common shape",
+        )
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -377,7 +363,7 @@ class ObservationSet:
 
     @property
     def block_shape(self) -> tuple[int, int]:
-        return self.blocks[0].shape
+        return self.blocks.shape[1:]
 
 
 def sample_channel(cov: RowCovariance, antennas: int, rng) -> ChannelField:
@@ -415,7 +401,7 @@ def sample_pose_set(n_blocks: int, antennas: int, rng) -> PoseSet:
     sign[sign == 0] = 1.0
     q = q * sign[:, None, :]
     q[np.linalg.det(q) < 0, :, -1] *= -1.0
-    return PoseSet(tuple(q))
+    return PoseSet(q)
 
 
 def apply_precoding(channels: ChannelField, poses: PoseSet) -> ChannelField:
@@ -424,7 +410,7 @@ def apply_precoding(channels: ChannelField, poses: PoseSet) -> ChannelField:
         raise ValueError("channel and pose counts differ")
     if channels.block_shape[1] != poses.dim:
         raise ValueError("pose size does not match the block column count")
-    return ChannelField(tuple(h @ p for h, p in zip(channels.blocks, poses.poses)))
+    return ChannelField(channels.blocks @ poses.poses)
 
 
 def observe(effective: ChannelField, sigma: float, rng) -> ObservationSet:
@@ -435,12 +421,10 @@ def observe(effective: ChannelField, sigma: float, rng) -> ObservationSet:
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
-        return ObservationSet(tuple(b.copy() for b in effective.blocks), 0.0)
+        return ObservationSet(effective.blocks.copy(), 0.0)
     rng = np.random.default_rng(rng)
-    noisy = tuple(
-        b + sigma * rng.standard_normal(b.shape) for b in effective.blocks
-    )
-    return ObservationSet(noisy, float(sigma))
+    noise = rng.standard_normal(effective.blocks.shape)
+    return ObservationSet(effective.blocks + sigma * noise, float(sigma))
 
 
 def log_prior_density(stacked: np.ndarray, cov: RowCovariance) -> float:

@@ -23,7 +23,8 @@ from .model import (
     RowCovariance,
     split_triplet_tiles,
 )
-from .procrustes import Rotation, procrustes_project
+from .oracle import mmse_error_covariance
+from .procrustes import Rotation, _as_matrix, procrustes_project
 
 __all__ = [
     "TripletEstimate",
@@ -96,10 +97,12 @@ class EstimateReport:
     refinement_iters: int
 
 
-def _rotation_matrix(rotation_like) -> np.ndarray:
-    if isinstance(rotation_like, Rotation):
-        return rotation_like.matrix
-    return np.asarray(rotation_like, dtype=float)
+def _noisy_cholesky(cov_sub: np.ndarray, sigma: float):
+    """Cholesky factor of U_sub + sigma^2 I; SolverError when it is singular."""
+    try:
+        return cho_factor(cov_sub + sigma**2 * np.eye(cov_sub.shape[0]), lower=True)
+    except LinAlgError as exc:
+        raise SolverError(float(np.linalg.cond(cov_sub))) from exc
 
 
 def negated_noisy_inverse(cov_sub: np.ndarray, sigma: float) -> np.ndarray:
@@ -109,12 +112,7 @@ def negated_noisy_inverse(cov_sub: np.ndarray, sigma: float) -> np.ndarray:
     refinement refresh at the smaller residual scale of the denoised field.
     """
     cov_sub = np.asarray(cov_sub, dtype=float)
-    n = cov_sub.shape[0]
-    try:
-        factor = cho_factor(cov_sub + sigma**2 * np.eye(n), lower=True)
-    except LinAlgError as exc:
-        raise SolverError(float(np.linalg.cond(cov_sub))) from exc
-    inv = cho_solve(factor, np.eye(n))
+    inv = cho_solve(_noisy_cholesky(cov_sub, sigma), np.eye(cov_sub.shape[0]))
     inv = 0.5 * (inv + inv.T)
     return -inv
 
@@ -138,17 +136,12 @@ def denoise_given_poses(blocks, rotations, cov_sub: np.ndarray, sigma: float):
     if sigma == 0:
         return [b.copy() for b in blocks]
 
-    rot = [_rotation_matrix(r) for r in rotations]
+    rot = [_as_matrix(r) for r in rotations]
     cov_sub = np.asarray(cov_sub, dtype=float)
-    n = cov_sub.shape[0]
     stacked = np.vstack([blocks[0]] + [b @ r for b, r in zip(blocks[1:], rot)])
-    if stacked.shape[0] != n:
+    if stacked.shape[0] != cov_sub.shape[0]:
         raise ValueError("covariance size does not match the stacked blocks")
-    try:
-        factor = cho_factor(cov_sub + sigma**2 * np.eye(n), lower=True)
-    except LinAlgError as exc:
-        raise SolverError(float(np.linalg.cond(cov_sub))) from exc
-    aligned = cho_solve(factor, cov_sub @ stacked)
+    aligned = cho_solve(_noisy_cholesky(cov_sub, sigma), cov_sub @ stacked)
 
     d = blocks[0].shape[0]
     out = [aligned[:d]]
@@ -172,8 +165,8 @@ def estimate_pair(b1: np.ndarray, b2: np.ndarray, ua: np.ndarray) -> Rotation:
 
 def triplet_objective(b1, b2, b3, tiles: CovarianceTiles, r12, r13) -> float:
     """The three-term Frobenius objective the triplet alternation maximizes."""
-    r21 = _rotation_matrix(r12).T
-    r31 = _rotation_matrix(r13).T
+    r21 = _as_matrix(r12).T
+    r31 = _as_matrix(r13).T
     b1 = np.asarray(b1, float)
     b2 = np.asarray(b2, float)
     b3 = np.asarray(b3, float)
@@ -222,8 +215,8 @@ def estimate_triplet_direct(
     else:
         r12_init, r13_init = init
         rot21 = None
-        r21 = _rotation_matrix(r12_init).T
-        r31 = _rotation_matrix(r13_init).T
+        r21 = _as_matrix(r12_init).T
+        r31 = _as_matrix(r13_init).T
 
     rot31 = None
     trace = []
@@ -266,13 +259,8 @@ def residual_noise_sigma(cov_sub: np.ndarray, sigma: float) -> float:
     inverts the bare prior covariance, whose jitter-scale directions blow
     up by many orders of magnitude and wreck the estimate.
     """
-    cov_sub = np.asarray(cov_sub, dtype=float)
-    if sigma == 0:
-        return 0.0
-    n = cov_sub.shape[0]
-    factor = cho_factor(cov_sub + sigma**2 * np.eye(n), lower=True)
-    err = sigma**2 * cho_solve(factor, cov_sub)
-    return float(np.sqrt(np.trace(err) / n))
+    err = mmse_error_covariance(cov_sub, sigma)
+    return float(np.sqrt(np.trace(err) / err.shape[0]))
 
 
 def refine_triplet(
@@ -285,15 +273,17 @@ def refine_triplet(
     inner_sweeps: int = DEFAULT_MAX_SWEEPS,
     tol: float = DEFAULT_TOL,
 ):
-    """Alternate rotation re-estimation and channel denoising on one triplet.
+    """Refine one triplet's rotations against its own direct denoised blocks.
 
     Starts from the direct solution: rotations estimated from the raw
     blocks, and the blocks denoised under them. Each outer iteration then
-    (a) re-runs the rotation alternation on the current denoised blocks,
-    with tiles of -(U_sub + s^2 I)^{-1} at the residual noise scale s of
-    the denoised field, and (b) re-solves the known-pose channel estimate
-    from the raw blocks under the refreshed rotations. Returns the three
-    denoised blocks and the final rotation estimate.
+    re-runs the rotation alternation, warm-started from the previous
+    rotations, against the fixed direct denoised blocks, with tiles of
+    -(U_sub + s^2 I)^{-1} at the residual noise scale s of that field; the
+    raw blocks are denoised under the rotations of the last iteration.
+    Every iteration re-solves the channel estimate, but only the last one
+    is returned. Returns the three denoised blocks and the final rotation
+    estimate.
 
     The refresh engages only for 0 < sigma < 1. At sigma = 0 denoising is
     exact and there is nothing to add; at sigma >= 1 (noise power at or
@@ -340,10 +330,8 @@ def refine_triplet(
     return denoised, estimate
 
 
-def _metrics(estimates, truth: ChannelField):
-    per_block = []
-    for est, ref in zip(estimates, truth.blocks):
-        per_block.append(float(np.mean((est - ref) ** 2)))
+def _metrics(estimates: ChannelField, truth: ChannelField):
+    per_block = [float(np.mean((e - t) ** 2)) for e, t in zip(estimates.blocks, truth.blocks)]
     mean_mse = float(np.mean(per_block))
     nmse_db = 10.0 * math.log10(mean_mse) if mean_mse > 0 else -math.inf
     return tuple(per_block), nmse_db
@@ -362,21 +350,23 @@ def run_grid(
 ) -> EstimateReport:
     """Run one estimator over the whole grid and average overlapping estimates.
 
-    ``sync_base`` and ``iterative`` run per triplet of the tiling; ``pairwise``
-    runs per 4-neighbor lattice edge with the two-block variant. Blocks
-    covered by several local problems receive the unweighted mean of their
-    estimates, which is safe because every local estimate targets the same
-    effective channel in the block's own frame.
+    The local cliques are the 4-neighbor lattice edges for ``pairwise`` and
+    the triplets of the tiling for ``sync_base`` and ``iterative``. Each
+    clique estimates its relative rotations and denoises its raw blocks
+    under them. Blocks covered by several cliques receive the unweighted
+    mean of their estimates, which is safe because every local estimate
+    targets the same effective channel in the block's own frame.
 
-    ``iterative`` starts from the synchronization-base field and then, per
-    triplet, alternates rotation re-estimation from that shared denoised
-    field with channel denoising of the raw observations under the
-    refreshed rotations. Working against the shared field lets overlapping
-    triplets exchange information, which a per-triplet loop cannot (its own
-    denoised blocks inherit its own rotation errors and just confirm them).
-    refinement_iters = 0 falls back to the synchronization base, as does
-    noise at or above the unit signal power (sigma >= 1), where the refresh
-    measurably loses to the direct estimate's noise-adapted rotations.
+    ``iterative`` starts from the synchronization-base field. Each triplet
+    then re-estimates its rotations ``refinement_iters`` times, warm-started
+    from the previous estimate, against that fixed shared field, and
+    denoises its raw observations once under the final rotations. Working
+    against the shared field lets overlapping triplets exchange information,
+    which a per-triplet loop cannot (its own denoised blocks inherit its
+    own rotation errors and just confirm them). refinement_iters = 0 falls
+    back to the synchronization base, as does noise at or above the unit
+    signal power (sigma >= 1), where the refresh measurably loses to the
+    direct estimate's noise-adapted rotations.
 
     Metrics are computed against ``ground_truth`` (the true effective field)
     when given, otherwise left unavailable.
@@ -390,103 +380,63 @@ def run_grid(
     d_cells = grid.block_cells
     blocks = obs.blocks
 
-    def averaged(local_estimates):
-        sums = [np.zeros_like(blocks[0]) for _ in range(n)]
-        counts = [0] * n
-        for unit, est in local_estimates:
-            for b, e in zip(unit, est):
-                sums[b] += e
-                counts[b] += 1
-        if any(c == 0 for c in counts):
-            raise CoverageError("at least one block received no local estimate")
-        return [s / c for s, c in zip(sums, counts)]
-
     if method == "pairwise":
-        locals_ = []
-        for i, j in lattice_edges(grid):
-            cov_sub = cov.submatrix((i, j))
-            neg_inv = negated_noisy_inverse(cov_sub, sigma)
-            r12 = estimate_pair(blocks[i], blocks[j], neg_inv[:d_cells, d_cells:])
-            locals_.append(
-                (
-                    (i, j),
-                    denoise_given_poses(
-                        [blocks[i], blocks[j]], [r12.T], cov_sub, sigma
-                    ),
-                )
-            )
-        field = averaged(locals_)
+        cliques = lattice_edges(grid)
     else:
         if tiling is None:
             tiling = build_triplet_tiling(grid)
         if len(tiling.coverage) != n or min(tiling.coverage) < 1:
             raise CoverageError("tiling does not cover every block of this grid")
-        subs = {t: cov.submatrix(t) for t in tiling.triplets}
-        rotations = {}
-        locals_ = []
-        for t in tiling.triplets:
-            i, j, k = t
-            tiles = split_triplet_tiles(negated_noisy_inverse(subs[t], sigma), d_cells)
-            tri = estimate_triplet_direct(
-                blocks[i], blocks[j], blocks[k], tiles, max_sweeps=max_sweeps, tol=tol
-            )
-            rotations[t] = tri
-            locals_.append(
-                (
-                    t,
-                    denoise_given_poses(
-                        [blocks[i], blocks[j], blocks[k]],
-                        [tri.r12.T, tri.r13.T],
-                        subs[t],
-                        sigma,
-                    ),
-                )
-            )
-        field = averaged(locals_)
+        cliques = tiling.triplets
+    cliques = [list(c) for c in cliques]
+    subs = [cov.submatrix(c) for c in cliques]
 
-        if method == "iterative" and refinement_iters > 0 and 0 < sigma < 1:
-            refresh_tiles = {
-                t: split_triplet_tiles(
-                    negated_noisy_inverse(
-                        subs[t], residual_noise_sigma(subs[t], sigma)
-                    ),
-                    d_cells,
-                )
-                for t in tiling.triplets
-            }
-            reference = field
+    def averaged(rotations):
+        # denoise every clique's raw blocks under its rotations; average overlaps
+        sums = np.zeros_like(blocks)
+        counts = np.zeros(n)
+        for clique, sub, local_rotations in zip(cliques, subs, rotations):
+            sums[clique] += denoise_given_poses(
+                blocks[clique], [r.T for r in local_rotations], sub, sigma
+            )
+            counts[clique] += 1
+        if not counts.all():
+            raise CoverageError("at least one block received no local estimate")
+        return sums / counts[:, None, None]
+
+    def direct(clique, sub):
+        neg_inv = negated_noisy_inverse(sub, sigma)
+        local = blocks[clique]
+        if len(clique) == 2:
+            return [estimate_pair(*local, neg_inv[:d_cells, d_cells:])]
+        tiles = split_triplet_tiles(neg_inv, d_cells)
+        tri = estimate_triplet_direct(*local, tiles, max_sweeps=max_sweeps, tol=tol)
+        return [tri.r12, tri.r13]
+
+    rotations = [direct(c, sub) for c, sub in zip(cliques, subs)]
+    field = averaged(rotations)
+
+    if method == "iterative" and refinement_iters > 0 and 0 < sigma < 1:
+        base = field
+
+        def refreshed(clique, sub, r12, r13):
+            scale = residual_noise_sigma(sub, sigma)
+            tiles = split_triplet_tiles(negated_noisy_inverse(sub, scale), d_cells)
             for _ in range(refinement_iters):
-                locals_ = []
-                for t in tiling.triplets:
-                    i, j, k = t
-                    tri = estimate_triplet_direct(
-                        reference[i],
-                        reference[j],
-                        reference[k],
-                        refresh_tiles[t],
-                        max_sweeps=max_sweeps,
-                        tol=tol,
-                        init=(rotations[t].r12, rotations[t].r13),
-                    )
-                    rotations[t] = tri
-                    locals_.append(
-                        (
-                            t,
-                            denoise_given_poses(
-                                [blocks[i], blocks[j], blocks[k]],
-                                [tri.r12.T, tri.r13.T],
-                                subs[t],
-                                sigma,
-                            ),
-                        )
-                    )
-                field = averaged(locals_)
+                tri = estimate_triplet_direct(
+                    *base[clique], tiles, max_sweeps=max_sweeps, tol=tol, init=(r12, r13)
+                )
+                r12, r13 = tri.r12, tri.r13
+            return [r12, r13]
 
-    estimates = ChannelField(tuple(field))
+        rotations = [refreshed(c, sub, *r) for c, sub, r in zip(cliques, subs, rotations)]
+        field = averaged(rotations)
+
+    estimates = ChannelField(field)
 
     per_block_mse, nmse_db = (None, None)
     if ground_truth is not None:
-        per_block_mse, nmse_db = _metrics(estimates.blocks, ground_truth)
+        per_block_mse, nmse_db = _metrics(estimates, ground_truth)
 
     return EstimateReport(
         estimates=estimates,

@@ -10,6 +10,7 @@ from mra_sync import (
     InvalidTripletError,
     KernelSpec,
     NotPositiveDefiniteError,
+    ObservationSet,
     PoseSet,
     RowCovariance,
     apply_precoding,
@@ -18,7 +19,7 @@ from mra_sync import (
     observe,
     sample_channel,
     sample_pose_set,
-    subslice_covariance,
+    split_triplet_tiles,
 )
 
 
@@ -105,43 +106,43 @@ def test_subslice_block_diagonal_has_zero_cross_tiles():
     for i, b in enumerate(blocks):
         m[i * d : (i + 1) * d, i * d : (i + 1) * d] = b
     cov = RowCovariance(m, d)
-    tri = subslice_covariance(cov, (0, 1, 2))
-    assert np.all(tri.tiles.ua == 0)
-    assert np.all(tri.tiles.ub == 0)
-    assert np.all(tri.tiles.uc == 0)
-    assert np.allclose(tri.tiles.u2, 2 * np.eye(d))
+    tiles = split_triplet_tiles(cov.submatrix((0, 1, 2)), d)
+    assert np.all(tiles.ua == 0)
+    assert np.all(tiles.ub == 0)
+    assert np.all(tiles.uc == 0)
+    assert np.allclose(tiles.u2, 2 * np.eye(d))
 
 
 def test_subslice_identity():
     cov = RowCovariance(np.eye(12), 2)
-    tri = subslice_covariance(cov, (0, 3, 5))
-    assert np.array_equal(tri.matrix, np.eye(6))
+    assert np.array_equal(cov.submatrix((0, 3, 5)), np.eye(6))
 
 
 def test_subslice_positive_tiles_match_direct_kernel(default_grid, default_cov):
-    tri = subslice_covariance(default_cov, (0, 1, 6))
+    sub = default_cov.submatrix((0, 1, 6))
     d = default_grid.block_cells
-    assert tri.matrix.shape == (3 * d, 3 * d)
-    assert np.all(tri.tiles.ua > 0) and np.all(tri.tiles.ub > 0) and np.all(tri.tiles.uc > 0)
+    assert sub.shape == (3 * d, 3 * d)
+    tiles = split_triplet_tiles(sub, d)
+    assert np.all(tiles.ua > 0) and np.all(tiles.ub > 0) and np.all(tiles.uc > 0)
     # independent reconstruction from cell coordinates
     pos = default_grid.cell_positions()
     idx = np.concatenate([np.arange(b * d, (b + 1) * d) for b in (0, 1, 6)])
     diff = pos[idx][:, None, :] - pos[idx][None, :, :]
     expected = np.exp(-np.sum(diff**2, axis=-1) / 50.0)
     expected[np.diag_indices_from(expected)] += 1e-9
-    assert np.allclose(tri.matrix, expected, atol=1e-15)
-    np.linalg.cholesky(tri.matrix)
+    assert np.allclose(sub, expected, atol=1e-15)
+    np.linalg.cholesky(sub)
 
 
 def test_subslice_rejects_duplicates(default_cov):
     with pytest.raises(InvalidTripletError):
-        subslice_covariance(default_cov, (0, 0, 1))
+        default_cov.submatrix((0, 0, 1))
 
 
 def test_subslice_random_triples_are_spd(default_cov, rng):
     for _ in range(10):
         triple = rng.choice(default_cov.n_blocks, size=3, replace=False)
-        np.linalg.cholesky(subslice_covariance(default_cov, triple).matrix)
+        np.linalg.cholesky(default_cov.submatrix(triple))
 
 
 def test_sample_channel_identity_covariance_is_standard_normal():
@@ -237,6 +238,16 @@ def test_pose_set_rejects_mixed_sizes_and_empty():
         PoseSet((np.eye(2)[:, :1],))
     with pytest.raises(ValueError, match="at least one pose"):
         PoseSet(())
+
+
+def test_channel_field_and_observations_reject_empty_and_ragged():
+    for make in (ChannelField, lambda blocks: ObservationSet(blocks, 0.1)):
+        with pytest.raises(ValueError, match="at least one block"):
+            make(())
+        with pytest.raises(ValueError, match="one common shape"):
+            make((np.zeros((2, 2)), np.zeros((3, 2))))
+        with pytest.raises(ValueError, match="one common shape"):
+            make((np.zeros(2), np.zeros(2)))
 
 
 def test_apply_precoding_identity_and_inverse(rng):

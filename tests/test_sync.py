@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
+import mra_sync.sync as sync_module
 from mra_sync import (
     ChannelField,
     CoverageError,
@@ -336,3 +338,100 @@ def test_run_grid_metrics_definition(default_grid, default_cov):
     ]
     assert report.per_block_mse == pytest.approx(manual, rel=1e-12)
     assert report.nmse_db == pytest.approx(10.0 * math.log10(np.mean(manual)), rel=1e-12)
+
+
+def iterative_reference(obs, cov, grid, refinement_iters):
+    """The refinement loop as first written: every round denoises and averages
+    the whole field, though only the last round's field is kept, and every
+    round re-estimates the rotations against the synchronization-base field."""
+    sigma = obs.noise_sigma
+    d_cells = grid.block_cells
+    triplets = build_triplet_tiling(grid).triplets
+    subs = {t: cov.submatrix(t) for t in triplets}
+
+    def averaged(local):
+        sums = [np.zeros_like(obs.blocks[0]) for _ in range(grid.n_blocks)]
+        counts = [0] * grid.n_blocks
+        for t, est in local:
+            for b, e in zip(t, est):
+                sums[b] += e
+                counts[b] += 1
+        return [s / c for s, c in zip(sums, counts)]
+
+    def denoised(t, tri):
+        rotations = [tri.r12.T, tri.r13.T]
+        return t, denoise_given_poses([obs.blocks[b] for b in t], rotations, subs[t], sigma)
+
+    rotations, local = {}, []
+    for t in triplets:
+        tiles = split_triplet_tiles(negated_noisy_inverse(subs[t], sigma), d_cells)
+        rotations[t] = estimate_triplet_direct(*(obs.blocks[b] for b in t), tiles)
+        local.append(denoised(t, rotations[t]))
+    reference = field = averaged(local)
+
+    refresh = {}
+    for t in triplets:
+        n = subs[t].shape[0]
+        err = sigma**2 * cho_solve(cho_factor(subs[t] + sigma**2 * np.eye(n), lower=True), subs[t])
+        scale = math.sqrt(np.trace(err) / n)
+        refresh[t] = split_triplet_tiles(negated_noisy_inverse(subs[t], scale), d_cells)
+    for _ in range(refinement_iters):
+        local = []
+        for t in triplets:
+            rotations[t] = estimate_triplet_direct(
+                *(reference[b] for b in t),
+                refresh[t],
+                init=(rotations[t].r12, rotations[t].r13),
+            )
+            local.append(denoised(t, rotations[t]))
+        field = averaged(local)
+    return field
+
+
+def test_run_grid_iterative_matches_per_round_reference(default_grid, default_cov):
+    for snr_db, seed in ((10.0, 7), (20.0, 8)):
+        obs, effective, _, _ = make_instance(default_grid, default_cov, snr_db, seed)
+        report = run_grid("iterative", obs, default_cov, default_grid, refinement_iters=4)
+        expected = iterative_reference(obs, default_cov, default_grid, 4)
+        for a, b in zip(report.estimates.blocks, expected):
+            assert np.array_equal(a, b)
+
+
+def test_run_grid_iterative_denoises_each_triplet_twice(default_grid, default_cov, monkeypatch):
+    calls = {"denoise_given_poses": 0, "estimate_triplet_direct": 0}
+
+    def counting(name):
+        original = getattr(sync_module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(sync_module, name, counting(name))
+    obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 7)
+    run_grid("iterative", obs, default_cov, default_grid, refinement_iters=4)
+    n_triplets = len(build_triplet_tiling(default_grid).triplets)
+    assert n_triplets == 50
+    assert calls["denoise_given_poses"] == 2 * n_triplets
+    assert calls["estimate_triplet_direct"] == (1 + 4) * n_triplets
+
+
+def test_observe_and_precoding_match_per_block_loop():
+    for grid in (GridSpec(2, 3, 2, 2, 2), GridSpec(2, 2, 1, 3, 3)):
+        cov = build_row_covariance(grid, KernelSpec(3.0))
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            loop_rng = np.random.default_rng(seed)
+            channels = sample_channel(cov, grid.antennas, rng)
+            poses = sample_pose_set(grid.n_blocks, grid.antennas, rng)
+            effective = apply_precoding(channels, poses)
+            obs = observe(effective, 0.3, rng)
+            sample_channel(cov, grid.antennas, loop_rng)
+            sample_pose_set(grid.n_blocks, grid.antennas, loop_rng)
+            for h, p, e, o in zip(channels.blocks, poses.poses, effective.blocks, obs.blocks):
+                assert np.array_equal(e, h @ p)
+                assert np.array_equal(o, e + 0.3 * loop_rng.standard_normal(e.shape))
+            assert rng.standard_normal() == loop_rng.standard_normal()
