@@ -2,11 +2,12 @@
 
 ``procrustes_project`` solves argmax_R <R, X>_F over SO(d) by stripping the
 singular values from an SVD of X and correcting the determinant on the
-smallest singular direction.
+smallest singular direction; for d = 2 it reads the angle off X directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ __all__ = ["Rotation", "procrustes_project", "relative_pose"]
 
 ROTATION_TOL = 1e-10
 _DEGENERACY_RTOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,9 +35,19 @@ class Rotation:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("rotation must be a square matrix")
-        if np.linalg.norm(m.T @ m - np.eye(m.shape[0])) >= ROTATION_TOL:
+        if m.shape == (2, 2):
+            # the same two checks on Python scalars, which the d = 2 hot path can afford
+            a, b, c, e = m.ravel().tolist()
+            col0, col1, off = a * a + c * c - 1.0, b * b + e * e - 1.0, a * b + c * e
+            gap = math.sqrt(col0 * col0 + 2.0 * off * off + col1 * col1)
+            det = a * e - b * c
+        else:
+            gap = np.linalg.norm(m.T @ m - np.eye(m.shape[0]))
+            det = np.linalg.det(m)
+        # written as not (x < tol) so that NaN and inf entries fail too
+        if not gap < ROTATION_TOL:
             raise ValueError("matrix is not orthogonal to 1e-10")
-        if abs(np.linalg.det(m) - 1.0) >= ROTATION_TOL:
+        if not abs(det - 1.0) < ROTATION_TOL:
             raise ValueError("matrix determinant is not +1")
         object.__setattr__(self, "matrix", m)
 
@@ -66,24 +78,54 @@ def procrustes_project(x: np.ndarray) -> Rotation:
     When the flip is active and the smallest singular value vanishes (or
     ties with the next one), the maximizer is not unique; one maximizer is
     returned with its ``degenerate`` flag set.
+
+    For d = 2 no SVD is taken. With p = hypot(x00 + x11, x10 - x01) and
+    q = hypot(x00 - x11, x01 + x10), the singular values are (p + q) / 2 and
+    |p - q| / 2, det X = (p^2 - q^2) / 4, and <R, X>_F = p cos(theta - phi)
+    for the rotation by theta, where phi = atan2(x10 - x01, x00 + x11). The
+    maximizer is the rotation by phi (the identity when p = 0, where every
+    rotation ties). The flip is active exactly when q > p, and the
+    degeneracy rule above applies to these singular values unchanged.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("input must be a square matrix")
     if x.shape[0] < 2:
         raise ValueError("rotation projection needs d >= 2")
+    if x.shape[0] == 2:
+        return _project_2x2(*x.ravel().tolist())
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite entries")
 
     a, s, vt = np.linalg.svd(x)
     degenerate = False
     if np.linalg.det(a @ vt) < 0:
-        scale = max(s[0], np.finfo(float).tiny)
+        scale = max(s[0], _TINY)
         if s[-1] <= _DEGENERACY_RTOL * scale or (s[-2] - s[-1]) <= _DEGENERACY_RTOL * scale:
             degenerate = True
         a = a.copy()
         a[:, -1] = -a[:, -1]
     return Rotation(a @ vt, degenerate)
+
+
+def _project_2x2(x00: float, x01: float, x10: float, x11: float) -> Rotation:
+    """The d = 2 closed form of :func:`procrustes_project` on scalar entries."""
+    if not all(map(math.isfinite, (x00, x01, x10, x11))):
+        raise ValueError("input contains non-finite entries")
+    cos_part, sin_part = x00 + x11, x10 - x01
+    p = math.hypot(cos_part, sin_part)
+    q = math.hypot(x00 - x11, x01 + x10)
+    if not math.isfinite(p + q):
+        # the sums overflowed; the maximizer and the flag do not depend on scale
+        m = max(map(abs, (x00, x01, x10, x11)))
+        return _project_2x2(x00 / m, x01 / m, x10 / m, x11 / m)
+    degenerate = False
+    if q > p:
+        # s_max = (p + q) / 2, s_min = (q - p) / 2, s_max - s_min = p
+        scale = max((p + q) / 2, _TINY)
+        degenerate = (q - p) / 2 <= _DEGENERACY_RTOL * scale or p <= _DEGENERACY_RTOL * scale
+    c, s = (cos_part / p, sin_part / p) if p > 0 else (1.0, 0.0)
+    return Rotation(np.array([[c, -s], [s, c]]), degenerate)
 
 
 def relative_pose(pose_i, pose_j) -> Rotation:

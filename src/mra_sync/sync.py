@@ -117,7 +117,7 @@ def negated_noisy_inverse(cov_sub: np.ndarray, sigma: float) -> np.ndarray:
     return -inv
 
 
-def denoise_given_poses(blocks, rotations, cov_sub: np.ndarray, sigma: float):
+def denoise_given_poses(blocks, rotations, cov_sub: np.ndarray, sigma: float, *, factor=None):
     """MAP channel estimate for J blocks with known relative rotations.
 
     ``rotations`` holds the J-1 rotations R_{j1} (j = 2..J) that carry each
@@ -127,6 +127,10 @@ def denoise_given_poses(blocks, rotations, cov_sub: np.ndarray, sigma: float):
     (sigma^2 I + U)^{-1} U; the result is rotated back into each block's own
     frame. sigma = 0 short-circuits to the inputs, which the system reduces
     to exactly.
+
+    ``factor`` optionally supplies the Cholesky factor of U + sigma^2 I, as
+    ``scipy.linalg.cho_factor`` returns it with ``lower=True``, so that
+    cliques sharing one covariance factorize it once.
     """
     blocks = [np.asarray(b, dtype=float) for b in blocks]
     if len(rotations) != len(blocks) - 1:
@@ -141,7 +145,9 @@ def denoise_given_poses(blocks, rotations, cov_sub: np.ndarray, sigma: float):
     stacked = np.vstack([blocks[0]] + [b @ r for b, r in zip(blocks[1:], rot)])
     if stacked.shape[0] != cov_sub.shape[0]:
         raise ValueError("covariance size does not match the stacked blocks")
-    aligned = cho_solve(_noisy_cholesky(cov_sub, sigma), cov_sub @ stacked)
+    if factor is None:
+        factor = _noisy_cholesky(cov_sub, sigma)
+    aligned = cho_solve(factor, cov_sub @ stacked)
 
     d = blocks[0].shape[0]
     out = [aligned[:d]]
@@ -226,16 +232,16 @@ def estimate_triplet_direct(
         prev21, prev31 = r21, r31
         rot31 = procrustes_project(mb + mc @ r21)
         r31 = rot31.matrix
-        rot21 = procrustes_project(ma + mc.T @ r31)
+        x21 = ma + mc.T @ r31
+        rot21 = procrustes_project(x21)
         r21 = rot21.matrix
-        trace.append(
-            float(np.sum(r21 * ma) + np.sum(r31 * mb) + np.sum(r31 * (mc @ r21)))
-        )
+        # <R21, Ma> + <R31, Mb> + <R31, Mc R21> with the last term read as <R21, Mc^T R31>
+        trace.append(float(np.vdot(r21, x21) + np.vdot(r31, mb)))
         if prev31 is not None:
-            moved = max(
-                np.linalg.norm(r21 - prev21), np.linalg.norm(r31 - prev31)
-            )
-            if moved < tol:
+            d21 = (r21 - prev21).ravel()
+            d31 = (r31 - prev31).ravel()
+            # the larger Frobenius step of the two, as np.linalg.norm computes it
+            if math.sqrt(max(d21 @ d21, d31 @ d31)) < tol:
                 converged = True
                 break
 
@@ -331,10 +337,10 @@ def refine_triplet(
 
 
 def _metrics(estimates: ChannelField, truth: ChannelField):
-    per_block = [float(np.mean((e - t) ** 2)) for e, t in zip(estimates.blocks, truth.blocks)]
+    per_block = np.mean((estimates.blocks - truth.blocks) ** 2, axis=(1, 2))
     mean_mse = float(np.mean(per_block))
     nmse_db = 10.0 * math.log10(mean_mse) if mean_mse > 0 else -math.inf
-    return tuple(per_block), nmse_db
+    return tuple(per_block.tolist()), nmse_db
 
 
 def run_grid(
@@ -368,6 +374,13 @@ def run_grid(
     signal power (sigma >= 1), where the refresh measurably loses to the
     direct estimate's noise-adapted rotations.
 
+    The local operators depend on a clique's covariance submatrix only:
+    the tiles of -(U_sub + sigma^2 I)^{-1}, the Cholesky factor used for
+    denoising, and the refinement's residual scale and tiles are built once
+    per distinct submatrix (keyed by its content) and shared by every clique
+    with that submatrix. With a stationary kernel a lattice has two distinct
+    edge and two distinct triplet submatrices, however many cliques it has.
+
     Metrics are computed against ``ground_truth`` (the true effective field)
     when given, otherwise left unavailable.
     """
@@ -389,47 +402,62 @@ def run_grid(
             raise CoverageError("tiling does not cover every block of this grid")
         cliques = tiling.triplets
     cliques = [list(c) for c in cliques]
-    subs = [cov.submatrix(c) for c in cliques]
+    # one covariance submatrix per distinct content; each clique holds the index of its own
+    slots, subs, which = {}, [], []
+    for clique in cliques:
+        sub = cov.submatrix(clique)
+        key = (sub.shape, sub.tobytes())
+        if key not in slots:
+            slots[key] = len(subs)
+            subs.append(sub)
+        which.append(slots[key])
+
+    def local_operator(sub, scale):
+        # the pair's cross tile or the triplet's named tiles of -(U_sub + scale^2 I)^{-1}
+        neg_inv = negated_noisy_inverse(sub, scale)
+        if sub.shape[0] == 2 * d_cells:
+            return neg_inv[:d_cells, d_cells:]
+        return split_triplet_tiles(neg_inv, d_cells)
+
+    direct_ops = [local_operator(sub, sigma) for sub in subs]
+    factors = [_noisy_cholesky(sub, sigma) for sub in subs]
 
     def averaged(rotations):
         # denoise every clique's raw blocks under its rotations; average overlaps
         sums = np.zeros_like(blocks)
         counts = np.zeros(n)
-        for clique, sub, local_rotations in zip(cliques, subs, rotations):
+        for clique, k, local_rotations in zip(cliques, which, rotations):
             sums[clique] += denoise_given_poses(
-                blocks[clique], [r.T for r in local_rotations], sub, sigma
+                blocks[clique], [r.T for r in local_rotations], subs[k], sigma, factor=factors[k]
             )
             counts[clique] += 1
         if not counts.all():
             raise CoverageError("at least one block received no local estimate")
         return sums / counts[:, None, None]
 
-    def direct(clique, sub):
-        neg_inv = negated_noisy_inverse(sub, sigma)
+    def direct(clique, k):
         local = blocks[clique]
         if len(clique) == 2:
-            return [estimate_pair(*local, neg_inv[:d_cells, d_cells:])]
-        tiles = split_triplet_tiles(neg_inv, d_cells)
-        tri = estimate_triplet_direct(*local, tiles, max_sweeps=max_sweeps, tol=tol)
+            return [estimate_pair(*local, direct_ops[k])]
+        tri = estimate_triplet_direct(*local, direct_ops[k], max_sweeps=max_sweeps, tol=tol)
         return [tri.r12, tri.r13]
 
-    rotations = [direct(c, sub) for c, sub in zip(cliques, subs)]
+    rotations = [direct(c, k) for c, k in zip(cliques, which)]
     field = averaged(rotations)
 
     if method == "iterative" and refinement_iters > 0 and 0 < sigma < 1:
         base = field
+        refresh_ops = [local_operator(sub, residual_noise_sigma(sub, sigma)) for sub in subs]
 
-        def refreshed(clique, sub, r12, r13):
-            scale = residual_noise_sigma(sub, sigma)
-            tiles = split_triplet_tiles(negated_noisy_inverse(sub, scale), d_cells)
+        def refreshed(clique, k, r12, r13):
             for _ in range(refinement_iters):
                 tri = estimate_triplet_direct(
-                    *base[clique], tiles, max_sweeps=max_sweeps, tol=tol, init=(r12, r13)
+                    *base[clique], refresh_ops[k], max_sweeps=max_sweeps, tol=tol, init=(r12, r13)
                 )
                 r12, r13 = tri.r12, tri.r13
             return [r12, r13]
 
-        rotations = [refreshed(c, sub, *r) for c, sub, r in zip(cliques, subs, rotations)]
+        rotations = [refreshed(c, k, *r) for c, k, r in zip(cliques, which, rotations)]
         field = averaged(rotations)
 
     estimates = ChannelField(field)

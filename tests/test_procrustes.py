@@ -113,3 +113,66 @@ def test_relative_pose_angle_arithmetic():
 def test_relative_pose_dimension_mismatch():
     with pytest.raises(ValueError):
         relative_pose(np.eye(2), np.eye(3))
+
+
+def svd_project_2x2(x):
+    """The SVD route for d = 2, as the general path takes it: flip the smallest
+    singular direction when det(A V^T) < 0, flagging ties and vanishing values."""
+    a, s, vt = np.linalg.svd(x)
+    degenerate = False
+    if np.linalg.det(a @ vt) < 0:
+        scale = max(s[0], np.finfo(float).tiny)
+        degenerate = bool(s[1] <= 1e-12 * scale or s[0] - s[1] <= 1e-12 * scale)
+        a = a.copy()
+        a[:, -1] = -a[:, -1]
+    return a @ vt, degenerate
+
+
+def test_closed_form_2x2_matches_svd_reference(rng):
+    for scale in np.exp(rng.uniform(-5.0, 5.0, size=1200)):
+        x = scale * rng.standard_normal((2, 2))
+        r = procrustes_project(x)
+        expected, degenerate = svd_project_2x2(x)
+        assert np.abs(r.matrix - expected).max() < 1e-12
+        assert r.degenerate == degenerate
+
+
+def test_closed_form_2x2_constructed_cases():
+    zero = procrustes_project(np.zeros((2, 2)))
+    assert np.array_equal(zero.matrix, np.eye(2)) and not zero.degenerate
+
+    for scale in (0.25, 1e308):  # 1e308: the entry sums overflow and are rescaled
+        scaled = procrustes_project(scale * rot2(2.9))
+        assert np.abs(scaled.matrix - rot2(2.9)).max() < 1e-15 and not scaled.degenerate
+
+    # a pure reflection: <R, X> = 0 for every rotation, so the flip is active
+    # on a tie and any rotation returned is a maximizer
+    reflection = np.diag([-1.0, 1.0])
+    r = procrustes_project(reflection)
+    assert r.degenerate
+    for theta in np.linspace(0.0, 2.0 * math.pi, 37):
+        value = float(np.sum(rot2(theta) * reflection))
+        assert float(np.sum(r.matrix * reflection)) >= value - 1e-15
+
+    # det X = 0 with p > 0: one singular value vanishes but the maximizer is
+    # unique (the rotation by atan2(x10 - x01, x00 + x11)) and not flagged
+    singular = np.outer([1.0, 2.0], [3.0, -1.0])
+    assert abs(np.linalg.det(singular)) < 1e-15
+    r = procrustes_project(singular)
+    theta = math.atan2(singular[1, 0] - singular[0, 1], singular[0, 0] + singular[1, 1])
+    assert not r.degenerate
+    assert np.abs(r.matrix - rot2(theta)).max() < 1e-15
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_rotation_rejects_non_finite():
+    for d in (2, 3):
+        for bad in (np.nan, np.inf, -np.inf):
+            m = np.eye(d)
+            m[0, 0] = bad
+            with pytest.raises(ValueError):
+                Rotation(m)
+            with pytest.raises(ValueError):
+                Rotation(np.full((d, d), bad))
+        with pytest.raises(ValueError):
+            procrustes_project(np.full((d, d), np.nan))

@@ -17,6 +17,7 @@ from mra_sync import (
     denoise_given_poses,
     estimate_pair,
     estimate_triplet_direct,
+    lattice_edges,
     negated_noisy_inverse,
     observe,
     refine_triplet,
@@ -417,6 +418,72 @@ def test_run_grid_iterative_denoises_each_triplet_twice(default_grid, default_co
     assert n_triplets == 50
     assert calls["denoise_given_poses"] == 2 * n_triplets
     assert calls["estimate_triplet_direct"] == (1 + 4) * n_triplets
+
+
+def test_run_grid_builds_operators_once_per_clique_covariance(
+    default_grid, default_cov, monkeypatch
+):
+    calls = {"negated_noisy_inverse": 0, "residual_noise_sigma": 0}
+
+    def counting(name):
+        original = getattr(sync_module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(sync_module, name, counting(name))
+    obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 7)
+    # 60 edges and 50 triplets, but two distinct edge and two distinct
+    # triplet covariances on a stationary lattice
+    expected = {
+        "pairwise": {"negated_noisy_inverse": 2, "residual_noise_sigma": 0},
+        "sync_base": {"negated_noisy_inverse": 2, "residual_noise_sigma": 0},
+        "iterative": {"negated_noisy_inverse": 4, "residual_noise_sigma": 2},
+    }
+    for method, counts in expected.items():
+        for name in calls:
+            calls[name] = 0
+        run_grid(method, obs, default_cov, default_grid, refinement_iters=4)
+        assert calls == counts, method
+
+
+def per_clique_reference(method, obs, cov, grid):
+    """pairwise or sync_base as a plain loop over cliques that builds every
+    clique's operators from its own submatrix."""
+    sigma = obs.noise_sigma
+    d_cells = grid.block_cells
+    sums = np.zeros_like(obs.blocks)
+    counts = np.zeros(grid.n_blocks)
+    if method == "pairwise":
+        cliques = lattice_edges(grid)
+    else:
+        cliques = build_triplet_tiling(grid).triplets
+    for clique in cliques:
+        clique = list(clique)
+        sub = cov.submatrix(clique)
+        neg_inv = negated_noisy_inverse(sub, sigma)
+        local = obs.blocks[clique]
+        if len(clique) == 2:
+            rotations = [estimate_pair(*local, neg_inv[:d_cells, d_cells:]).T]
+        else:
+            tri = estimate_triplet_direct(*local, split_triplet_tiles(neg_inv, d_cells))
+            rotations = [tri.r12.T, tri.r13.T]
+        sums[clique] += denoise_given_poses(local, rotations, sub, sigma)
+        counts[clique] += 1
+    return sums / counts[:, None, None]
+
+
+def test_run_grid_shared_operators_match_per_clique_loop(default_grid, default_cov):
+    for snr_db, seed in ((0.0, 2), (10.0, 7), (20.0, 8)):
+        obs, _, _, _ = make_instance(default_grid, default_cov, snr_db, seed)
+        for method in ("pairwise", "sync_base"):
+            report = run_grid(method, obs, default_cov, default_grid)
+            expected = per_clique_reference(method, obs, default_cov, default_grid)
+            assert np.array_equal(report.estimates.blocks, expected)
 
 
 def test_observe_and_precoding_match_per_block_loop():
