@@ -26,7 +26,7 @@ from .model import (
     sample_pose_set,
 )
 from .oracle import ideal_sync_mse_db, single_channel_mse_db
-from .sync import DEFAULT_REFINEMENT_ITERS, METHODS, run_grid
+from .sync import DEFAULT_REFINEMENT_ITERS, METHODS, SolverError, run_grid
 
 __all__ = [
     "ExperimentConfig",
@@ -229,8 +229,10 @@ def run_sweep(config: ExperimentConfig) -> list:
     """Run the full (snr, seed, method) sweep and append closed-form lines.
 
     Seed s always uses its own fresh RNG stream, so a cell's data depends
-    only on (grid, kernel, snr, seed). Estimator failures are recorded as
-    NaN rows rather than aborting the sweep.
+    only on (grid, kernel, snr, seed). Estimator failures of the typed kinds
+    (SolverError, and ValueError, which covers CoverageError,
+    NotPositiveDefiniteError and InvalidTripletError) are recorded as NaN
+    rows rather than aborting the sweep; any other exception propagates.
     """
     cov = build_row_covariance(config.grid, config.kernel)
     tiling = build_triplet_tiling(config.grid)
@@ -261,7 +263,7 @@ def run_sweep(config: ExperimentConfig) -> list:
                         refinement_iters=config.refinement_iters,
                     )
                     nmse_db = report.nmse_db
-                except Exception:
+                except (SolverError, ValueError):
                     nmse_db = math.nan
                 wall_ms = (time.perf_counter() - start) * 1e3
                 rows.append(

@@ -71,6 +71,13 @@ class InvalidTripletError(ValueError):
     """Block triple with duplicate or out-of-range indices."""
 
 
+def _max_asymmetry(matrix: np.ndarray) -> float:
+    """max |matrix - matrix.T|, with one n^2 temporary freed on return."""
+    diff = matrix - matrix.T
+    np.abs(diff, out=diff)
+    return float(diff.max())
+
+
 def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, raising NotPositiveDefiniteError on failure."""
     c, info = lapack.dpotrf(matrix, lower=1, overwrite_a=0, clean=1)
@@ -134,13 +141,12 @@ class GridSpec:
         Returns an (N*D, 2) float array; row ``i*D + a`` holds the position
         of cell ``a`` of block ``i``.
         """
-        rows = []
-        for i in range(self.n_blocks):
-            br, bc = self.block_position(i)
-            for r in range(self.block_rows):
-                for c in range(self.block_cols):
-                    rows.append((br * self.block_rows + r, bc * self.block_cols + c))
-        return np.asarray(rows, dtype=float)
+        block, cell = np.divmod(np.arange(self.n_blocks * self.block_cells), self.block_cells)
+        br, bc = np.divmod(block, self.width_blocks)
+        r, c = np.divmod(cell, self.block_cols)
+        return np.stack(
+            (br * self.block_rows + r, bc * self.block_cols + c), axis=1
+        ).astype(float)
 
 
 @dataclass(frozen=True)
@@ -174,6 +180,7 @@ class RowCovariance:
     matrix: np.ndarray
     block_size: int
     _chol: np.ndarray = field(init=False, repr=False)
+    _eigenvalues: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -181,8 +188,8 @@ class RowCovariance:
             raise ValueError("covariance must be a square matrix")
         if self.block_size < 1 or m.shape[0] % self.block_size != 0:
             raise ValueError("matrix size must be a multiple of block_size")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > SYMMETRY_RTOL * scale:
+        scale = max(1.0, float(m.max()), float(-m.min()))
+        if _max_asymmetry(m) > SYMMETRY_RTOL * scale:
             raise ValueError("covariance is not symmetric to relative 1e-12")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_chol", _cholesky_lower(m))
@@ -198,6 +205,22 @@ class RowCovariance:
     def cholesky(self) -> np.ndarray:
         """Lower factor L with L @ L.T == matrix."""
         return self._chol
+
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of ``matrix`` in ascending order, as a read-only array.
+
+        :func:`build_row_covariance` supplies them from the Kronecker
+        structure of the kernel; any other covariance gets one ``eigvalsh``
+        on first use, which is then kept.
+        """
+        if self._eigenvalues is None:
+            self._set_eigenvalues(np.linalg.eigvalsh(self.matrix))
+        return self._eigenvalues
+
+    def _set_eigenvalues(self, values: np.ndarray) -> None:
+        values = np.sort(values)
+        values.setflags(write=False)
+        object.__setattr__(self, "_eigenvalues", values)
 
     def submatrix(self, blocks: Sequence[int]) -> np.ndarray:
         """Principal submatrix at the given block indices, in the given order."""
@@ -246,18 +269,47 @@ def split_triplet_tiles(matrix: np.ndarray, block_size: int) -> CovarianceTiles:
     )
 
 
+def _squared_lags(x: np.ndarray) -> np.ndarray:
+    """Matrix of (x_i - x_j)^2, built in place in one n^2 array."""
+    lags = np.subtract.outer(x, x)
+    lags *= lags
+    return lags
+
+
+def _kernel_eigenvalues(n: int, length_scale: float) -> np.ndarray:
+    """Eigenvalues of the 1-D squared-exponential kernel on coordinates 0..n-1."""
+    lags = _squared_lags(np.arange(n, dtype=float))
+    return np.linalg.eigvalsh(np.exp(-lags / (2.0 * length_scale**2)))
+
+
 def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
     """Assemble the squared-exponential row covariance over all cells.
 
     Entry ((i,a),(j,b)) is ``exp(-||pos(i,a) - pos(j,b)||^2 / (2 l^2))`` on
     the absolute cell grid, plus ``jitter`` on the diagonal.
+
+    The cells fill an n_r x n_c rectangle (n_r = H * block_rows, n_c =
+    W * block_cols) and the kernel factors over its two axes, so U is a
+    permutation of K_r (x) K_c plus jitter * I. Its eigenvalues are therefore
+    lambda_r,i * lambda_c,j + jitter from the two 1-D kernels; they are
+    stored on the covariance for :meth:`RowCovariance.eigenvalues`.
     """
-    pos = grid.cell_positions()
-    diff = pos[:, None, :] - pos[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    u = np.exp(-sq / (2.0 * kernel.length_scale**2))
+    rows, cols = grid.cell_positions().T
+    # squared distances are exact integers however they are summed, and the
+    # negate, divide and exp below run in the order of exp(-sq / (2 l^2)),
+    # so every entry is bit-identical to that formula (the sample stream of
+    # sample_channel depends on it)
+    u = _squared_lags(rows)
+    u += _squared_lags(cols)
+    np.negative(u, out=u)
+    u /= 2.0 * kernel.length_scale**2
+    np.exp(u, out=u)
     u[np.diag_indices_from(u)] += kernel.jitter
-    return RowCovariance(u, grid.block_cells)
+    cov = RowCovariance(u, grid.block_cells)
+    lam_r = _kernel_eigenvalues(grid.height_blocks * grid.block_rows, kernel.length_scale)
+    lam_c = _kernel_eigenvalues(grid.width_blocks * grid.block_cols, kernel.length_scale)
+    cov._set_eigenvalues(np.outer(lam_r, lam_c).ravel() + kernel.jitter)
+    return cov
 
 
 def _matrix_stack(matrices, empty: str, mixed: str) -> np.ndarray:

@@ -2,7 +2,18 @@
 
 The linear-MMSE error covariance gives two reference curves: the error under
 ideal synchronization (all rotations known, the full covariance usable) and
-the error of denoising each block in isolation. The brute-force search is an
+the error of denoising each block in isolation.
+
+The ideal line is computed from the spectrum of U, not from a dense solve:
+the error covariance sigma^2 U (U + sigma^2 I)^{-1} shares U's eigenvectors,
+so its trace is the sum of sigma^2 mu / (mu + sigma^2) over U's eigenvalues
+mu. The squared-exponential kernel is separable and the cells of any grid
+fill a full rectangle, so U is a permutation of K_rows (x) K_cols plus
+jitter on the diagonal, and mu = lambda_r * lambda_c + jitter exactly (the
+jitter shifts every eigenvalue of the Kronecker product alike). The two 1-D
+eigenproblems cost O(n_r^3 + n_c^3) instead of O((N*D)^3) per SNR. The
+single-block line and the error covariance itself stay dense; their
+matrices are D x D or clique-sized. The brute-force search is an
 independent check of the triplet alternation for d = 2, evaluating the
 objective on a dense angle grid via its trigonometric expansion.
 """
@@ -49,13 +60,20 @@ def mmse_error_covariance(sigma_x: np.ndarray, sigma: float) -> np.ndarray:
 def ideal_sync_mse_db(cov: RowCovariance, sigma: float) -> float:
     """Per-element MSE (dB) of denoising with all rotations known.
 
-    The antenna columns are i.i.d., so the column count cancels; sigma = 0
-    reports the perfect-observation sentinel -inf.
+    Returns 10 log10(mean(sigma^2 mu / (mu + sigma^2))) over the eigenvalues
+    mu of U (``cov.eigenvalues()``, from the separable kernel's two 1-D
+    spectra for a built covariance; see the module docstring). That is
+    tr(mmse_error_covariance(U, sigma)) / (N*D) exactly. The antenna columns
+    are i.i.d., so the column count cancels; sigma = 0 reports the
+    perfect-observation sentinel -inf and sigma < 0 raises ValueError.
     """
+    if sigma < 0:
+        raise ValueError("sigma must be non-negative")
     if sigma == 0:
         return -math.inf
-    err = mmse_error_covariance(cov.matrix, sigma)
-    return 10.0 * math.log10(float(np.trace(err)) / cov.size)
+    mu = cov.eigenvalues()
+    noise = sigma**2
+    return 10.0 * math.log10(float(np.mean(noise * mu / (mu + noise))))
 
 
 def single_channel_mse_db(cov_block: np.ndarray, sigma: float) -> float:

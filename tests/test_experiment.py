@@ -9,6 +9,7 @@ from mra_sync import (
     GridSpec,
     KernelSpec,
     ResultRow,
+    SolverError,
     default_config,
     emit_csv,
     emit_summary,
@@ -16,6 +17,7 @@ from mra_sync import (
     run_sweep,
     sigma_from_snr_db,
 )
+from mra_sync import experiment
 from mra_sync.cli import main as cli_main
 from mra_sync.experiment import CSV_HEADER, ConfigError, load_config, parse_config_text
 
@@ -238,3 +240,19 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
         ]
     )
     assert code == 2
+
+
+def test_run_sweep_records_typed_failures_and_raises_bugs(monkeypatch):
+    config = tiny_config(snr_db_list=(10.0,), seeds=1, methods=("sync_base",))
+
+    def failing(error):
+        def run_grid(*args, **kwargs):
+            raise error
+        return run_grid
+
+    monkeypatch.setattr(experiment, "run_grid", failing(SolverError(1e17)))
+    (row,) = run_sweep(config)
+    assert row.method == "sync_base" and math.isnan(row.nmse_db)
+    monkeypatch.setattr(experiment, "run_grid", failing(TypeError("a bug")))
+    with pytest.raises(TypeError, match="a bug"):
+        run_sweep(config)

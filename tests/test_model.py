@@ -45,6 +45,20 @@ def test_grid_cell_positions_tile_contiguously():
     assert pos[:, 0].max() == 5 and pos[:, 1].max() == 7
 
 
+def test_grid_cell_positions_match_per_cell_loop():
+    for grid in (GridSpec(2, 2, 3, 4, 2), GridSpec(1, 7, 2, 2, 3), GridSpec(3, 5, 1, 2, 2)):
+        rows = []
+        for i in range(grid.n_blocks):
+            br, bc = grid.block_position(i)
+            for r in range(grid.block_rows):
+                for c in range(grid.block_cols):
+                    rows.append((br * grid.block_rows + r, bc * grid.block_cols + c))
+        expected = np.asarray(rows, dtype=float)
+        pos = grid.cell_positions()
+        assert pos.dtype == expected.dtype
+        assert np.array_equal(pos, expected)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(0, 2, 2, 2, 2)
@@ -82,6 +96,29 @@ def test_covariance_default_geometry(default_grid, default_cov):
     assert default_cov.matrix[0, 12] == pytest.approx(expected, rel=1e-12)
     # SPD: construction already factorized it
     assert default_cov.cholesky().shape == (432, 432)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GridSpec(6, 6, 3, 4, 2),
+        GridSpec(1, 7, 2, 2, 3),
+        GridSpec(1, 1, 3, 4, 2),
+        GridSpec(4, 3, 2, 3, 2),
+    ],
+)
+@pytest.mark.parametrize("length_scale", [5.0, 1.3])
+def test_covariance_bit_equal_to_einsum_formula(grid, length_scale):
+    # the dense-Cholesky sample stream, and so the golden CSV, depend on
+    # every entry of the matrix
+    kernel = KernelSpec(length_scale)
+    pos = grid.cell_positions()
+    diff = pos[:, None, :] - pos[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    expected = np.exp(-sq / (2.0 * kernel.length_scale**2))
+    expected[np.diag_indices_from(expected)] += kernel.jitter
+    matrix = build_row_covariance(grid, kernel).matrix
+    assert np.array_equal(matrix.view(np.int64), expected.view(np.int64))
 
 
 def test_covariance_rejects_asymmetry():

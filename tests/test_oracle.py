@@ -73,6 +73,42 @@ def test_ideal_sync_zero_noise_sentinel():
     assert single_channel_mse_db(np.eye(4), 0.0) == -math.inf
 
 
+SPECTRAL_GRIDS = [
+    GridSpec(6, 6, 3, 4, 2),
+    GridSpec(1, 7, 2, 2, 3),
+    GridSpec(1, 1, 3, 4, 2),
+    GridSpec(3, 5, 2, 2, 2),
+]
+
+
+@pytest.mark.parametrize("grid", SPECTRAL_GRIDS)
+def test_ideal_sync_spectral_matches_dense_trace(grid):
+    cov = build_row_covariance(grid, KernelSpec(5.0))
+    for snr_db in (-5.0, 0.0, 10.0, 20.0, 30.0, 50.0, 70.0, 90.0):
+        sigma = sigma_from_snr_db(snr_db)
+        err = mmse_error_covariance(cov.matrix, sigma)
+        dense_db = 10.0 * math.log10(float(np.trace(err)) / cov.size)
+        # above 20 dB the dense Cholesky of the ill-conditioned U + sigma^2 I
+        # is the less accurate of the two
+        tol = 1e-10 if snr_db <= 20.0 else 1e-6
+        assert abs(ideal_sync_mse_db(cov, sigma) - dense_db) < tol
+
+
+@pytest.mark.parametrize("grid", SPECTRAL_GRIDS)
+def test_kronecker_eigenvalues_match_dense(grid):
+    for length_scale in (5.0, 1.3):
+        cov = build_row_covariance(grid, KernelSpec(length_scale))
+        dense = np.linalg.eigvalsh(cov.matrix)
+        bound = 1e-12 * np.linalg.norm(cov.matrix, 2)
+        assert cov.eigenvalues().shape == dense.shape
+        assert np.abs(np.sort(cov.eigenvalues()) - dense).max() < bound
+
+
+def test_ideal_sync_rejects_negative_sigma():
+    with pytest.raises(ValueError):
+        ideal_sync_mse_db(RowCovariance(np.eye(4), 2), -0.1)
+
+
 def test_ideal_sync_monotone_in_sigma(default_cov):
     sigmas = [0.05, 0.1, 0.3, 0.5, 1.0, 2.0]
     values = [ideal_sync_mse_db(default_cov, s) for s in sigmas]
