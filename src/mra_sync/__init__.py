@@ -47,7 +47,6 @@ from .sync import (
     estimate_pair,
     estimate_triplet_direct,
     negated_noisy_inverse,
-    refine_triplet,
     residual_noise_sigma,
     run_grid,
     triplet_objective,
@@ -112,7 +111,6 @@ __all__ = [
     "estimate_pair",
     "triplet_objective",
     "estimate_triplet_direct",
-    "refine_triplet",
     "run_grid",
     "mmse_error_covariance",
     "ideal_sync_mse_db",

@@ -87,6 +87,11 @@ def procrustes_project(x: np.ndarray) -> Rotation:
     rotation ties). The flip is active exactly when q > p, and the
     degeneracy rule above applies to these singular values unchanged.
     """
+    return Rotation(*_project(x))
+
+
+def _project(x) -> tuple:
+    """:func:`procrustes_project` as a bare (matrix, degenerate) pair, unvalidated."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError("input must be a square matrix")
@@ -105,11 +110,40 @@ def procrustes_project(x: np.ndarray) -> Rotation:
             degenerate = True
         a = a.copy()
         a[:, -1] = -a[:, -1]
-    return Rotation(a @ vt, degenerate)
+    return a @ vt, degenerate
 
 
-def _project_2x2(x00: float, x01: float, x10: float, x11: float) -> Rotation:
-    """The d = 2 closed form of :func:`procrustes_project` on scalar entries."""
+def _project_stack(x: np.ndarray) -> np.ndarray:
+    """``procrustes_project(x[t]).matrix`` for every t of a (T, d, d) stack, bit for bit.
+
+    d = 2 maps the scalar closed form's ``math.hypot`` over the items (numpy's
+    hypot rounds differently) and sends the items with p = 0 or an overflowing
+    p + q through :func:`procrustes_project` one at a time; d >= 3 takes one
+    stacked SVD and flips the last column of A where det(A V^T) < 0.
+    """
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input contains non-finite entries")
+    if x.shape[-1] > 2:
+        a, _, vt = np.linalg.svd(x)
+        flip = np.linalg.det(a @ vt) < 0
+        a[flip, :, -1] = -a[flip, :, -1]
+        return a @ vt
+    x00, x01, x10, x11 = (x[:, i, j] for i in (0, 1) for j in (0, 1))
+    with np.errstate(over="ignore"):
+        cos_part, sin_part = x00 + x11, x10 - x01
+        p = np.array(list(map(math.hypot, cos_part.tolist(), sin_part.tolist())))
+        q = np.array(list(map(math.hypot, (x00 - x11).tolist(), (x01 + x10).tolist())))
+        special = np.flatnonzero(~(p > 0) | ~np.isfinite(p + q))
+    p[special] = 1.0
+    c, s = cos_part / p, sin_part / p
+    out = np.stack([c, -s, s, c], axis=-1).reshape(x.shape)
+    for t in special:
+        out[t] = procrustes_project(x[t]).matrix
+    return out
+
+
+def _project_2x2(x00: float, x01: float, x10: float, x11: float) -> tuple:
+    """The d = 2 closed form of :func:`_project` on scalar entries."""
     if not all(map(math.isfinite, (x00, x01, x10, x11))):
         raise ValueError("input contains non-finite entries")
     cos_part, sin_part = x00 + x11, x10 - x01
@@ -125,7 +159,7 @@ def _project_2x2(x00: float, x01: float, x10: float, x11: float) -> Rotation:
         scale = max((p + q) / 2, _TINY)
         degenerate = (q - p) / 2 <= _DEGENERACY_RTOL * scale or p <= _DEGENERACY_RTOL * scale
     c, s = (cos_part / p, sin_part / p) if p > 0 else (1.0, 0.0)
-    return Rotation(np.array([[c, -s], [s, c]]), degenerate)
+    return np.array([[c, -s], [s, c]]), degenerate
 
 
 def relative_pose(pose_i, pose_j) -> Rotation:

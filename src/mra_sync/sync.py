@@ -24,7 +24,7 @@ from .model import (
     split_triplet_tiles,
 )
 from .oracle import mmse_error_covariance
-from .procrustes import Rotation, _as_matrix, procrustes_project
+from .procrustes import Rotation, _as_matrix, _project, _project_stack, procrustes_project
 
 __all__ = [
     "TripletEstimate",
@@ -38,7 +38,6 @@ __all__ = [
     "estimate_pair",
     "triplet_objective",
     "estimate_triplet_direct",
-    "refine_triplet",
     "run_grid",
 ]
 
@@ -198,7 +197,8 @@ def estimate_triplet_direct(
     then R_12, each as the closed-form maximizer of the objective with the
     other held fixed, so the recorded objective trace never decreases.
     Sweeping stops when both rotations move less than ``tol`` in Frobenius
-    norm or after ``max_sweeps``.
+    norm or after ``max_sweeps``. The sweeps work on bare arrays; only the
+    returned rotations are built as validated :class:`Rotation` objects.
 
     ``init`` optionally warm-starts the alternation with an existing
     (r12, r13) pair; otherwise R_12 starts from the pairwise estimate of the
@@ -215,43 +215,63 @@ def estimate_triplet_direct(
     mc = b3.T @ tiles.uc.T @ b2
 
     if init is None:
-        rot21 = procrustes_project(ma)
-        r21 = rot21.matrix
+        r21 = procrustes_project(ma).matrix
         r31 = None
     else:
         r12_init, r13_init = init
-        rot21 = None
         r21 = _as_matrix(r12_init).T
         r31 = _as_matrix(r13_init).T
 
-    rot31 = None
     trace = []
     converged = False
     sweeps = 0
     for sweeps in range(1, max_sweeps + 1):
         prev21, prev31 = r21, r31
-        rot31 = procrustes_project(mb + mc @ r21)
-        r31 = rot31.matrix
+        r31, deg31 = _project(mb + mc @ r21)
         x21 = ma + mc.T @ r31
-        rot21 = procrustes_project(x21)
-        r21 = rot21.matrix
+        r21, deg21 = _project(x21)
         # <R21, Ma> + <R31, Mb> + <R31, Mc R21> with the last term read as <R21, Mc^T R31>
         trace.append(float(np.vdot(r21, x21) + np.vdot(r31, mb)))
-        if prev31 is not None:
-            d21 = (r21 - prev21).ravel()
-            d31 = (r31 - prev31).ravel()
-            # the larger Frobenius step of the two, as np.linalg.norm computes it
-            if math.sqrt(max(d21 @ d21, d31 @ d31)) < tol:
-                converged = True
-                break
+        if prev31 is not None and _step(r21 - prev21, r31 - prev31) < tol:
+            converged = True
+            break
 
     return TripletEstimate(
-        r12=Rotation(r21.T.copy(), rot21.degenerate),
-        r13=Rotation(r31.T.copy(), rot31.degenerate),
+        r12=Rotation(r21.T.copy(), deg21),
+        r13=Rotation(r31.T.copy(), deg31),
         objective_trace=tuple(trace),
         converged=converged,
         sweeps=sweeps,
     )
+
+
+def _step(d21: np.ndarray, d31: np.ndarray) -> float:
+    """The larger Frobenius norm of two rotation steps, as np.linalg.norm computes it."""
+    d21, d31 = d21.ravel(), d31.ravel()
+    return math.sqrt(max(d21 @ d21, d31 @ d31))
+
+
+def _alternate_stack(ma, mb, mc, r21, r31, max_sweeps: int, tol: float):
+    """The warm-started alternation of :func:`estimate_triplet_direct` over (T, d, d) stacks.
+
+    Takes the coefficient matrices and the starting R_21, R_31 of T triplets
+    and returns their final R_21, R_31 as new stacks. Each triplet follows
+    its own stopping rule, bit for bit as a per-triplet call: it leaves the
+    active set once its larger Frobenius step is below ``tol``, after at most
+    ``max_sweeps`` sweeps.
+    """
+    r21, r31 = r21.copy(), r31.copy()
+    active = np.arange(len(ma))
+    for _ in range(max_sweeps):
+        prev21, prev31 = r21[active], r31[active]
+        new31 = _project_stack(mb[active] + mc[active] @ prev21)
+        new21 = _project_stack(ma[active] + mc[active].transpose(0, 2, 1) @ new31)
+        r21[active], r31[active] = new21, new31
+        steps = map(_step, new21 - prev21, new31 - prev31)
+        active = active[[not step < tol for step in steps]]
+        if not active.size:
+            break
+    return r21, r31
 
 
 def residual_noise_sigma(cov_sub: np.ndarray, sigma: float) -> float:
@@ -267,73 +287,6 @@ def residual_noise_sigma(cov_sub: np.ndarray, sigma: float) -> float:
     """
     err = mmse_error_covariance(cov_sub, sigma)
     return float(np.sqrt(np.trace(err) / err.shape[0]))
-
-
-def refine_triplet(
-    b1,
-    b2,
-    b3,
-    cov_sub: np.ndarray,
-    sigma: float,
-    outer_iters: int = DEFAULT_REFINEMENT_ITERS,
-    inner_sweeps: int = DEFAULT_MAX_SWEEPS,
-    tol: float = DEFAULT_TOL,
-):
-    """Refine one triplet's rotations against its own direct denoised blocks.
-
-    Starts from the direct solution: rotations estimated from the raw
-    blocks, and the blocks denoised under them. Each outer iteration then
-    re-runs the rotation alternation, warm-started from the previous
-    rotations, against the fixed direct denoised blocks, with tiles of
-    -(U_sub + s^2 I)^{-1} at the residual noise scale s of that field; the
-    raw blocks are denoised under the rotations of the last iteration.
-    Every iteration re-solves the channel estimate, but only the last one
-    is returned. Returns the three denoised blocks and the final rotation
-    estimate.
-
-    The refresh engages only for 0 < sigma < 1. At sigma = 0 denoising is
-    exact and there is nothing to add; at sigma >= 1 (noise power at or
-    above the unit signal power) the denoised field is dominated by
-    synchronization errors rather than removable noise, and re-estimating
-    rotations from it measurably loses against the direct estimate, whose
-    errors are adapted to the very noise draw being denoised. In both cases
-    the direct solution is returned unchanged.
-    """
-    if outer_iters < 1:
-        raise ValueError("outer_iters must be >= 1")
-    blocks = [np.asarray(b, dtype=float) for b in (b1, b2, b3)]
-    cov_sub = np.asarray(cov_sub, dtype=float)
-    d_cells = blocks[0].shape[0]
-
-    direct_tiles = split_triplet_tiles(
-        negated_noisy_inverse(cov_sub, sigma), d_cells
-    )
-    estimate = estimate_triplet_direct(
-        *blocks, direct_tiles, max_sweeps=inner_sweeps, tol=tol
-    )
-    denoised = denoise_given_poses(
-        blocks, [estimate.r12.T, estimate.r13.T], cov_sub, sigma
-    )
-    if sigma == 0 or sigma >= 1:
-        return denoised, estimate
-
-    refresh_tiles = split_triplet_tiles(
-        negated_noisy_inverse(cov_sub, residual_noise_sigma(cov_sub, sigma)),
-        d_cells,
-    )
-    reference = denoised
-    for _ in range(outer_iters):
-        estimate = estimate_triplet_direct(
-            *reference,
-            refresh_tiles,
-            max_sweeps=inner_sweeps,
-            tol=tol,
-            init=(estimate.r12, estimate.r13),
-        )
-        denoised = denoise_given_poses(
-            blocks, [estimate.r12.T, estimate.r13.T], cov_sub, sigma
-        )
-    return denoised, estimate
 
 
 def _metrics(estimates: ChannelField, truth: ChannelField):
@@ -366,13 +319,18 @@ def run_grid(
     ``iterative`` starts from the synchronization-base field. Each triplet
     then re-estimates its rotations ``refinement_iters`` times, warm-started
     from the previous estimate, against that fixed shared field, and
-    denoises its raw observations once under the final rotations. Working
+    denoises its raw observations once under the final rotations. Each
+    round is one stacked alternation over all triplets on (T, d, d) arrays;
+    every triplet keeps the stopping rule of :func:`estimate_triplet_direct`,
+    and the output bits equal a per-triplet loop's. The direct stage still
+    solves clique by clique, until the benchmark counts per batch. Working
     against the shared field lets overlapping triplets exchange information,
     which a per-triplet loop cannot (its own denoised blocks inherit its
     own rotation errors and just confirm them). refinement_iters = 0 falls
     back to the synchronization base, as does noise at or above the unit
     signal power (sigma >= 1), where the refresh measurably loses to the
-    direct estimate's noise-adapted rotations.
+    direct estimate's noise-adapted rotations; a negative count raises
+    ``ValueError``.
 
     The local operators depend on a clique's covariance submatrix only:
     the tiles of -(U_sub + sigma^2 I)^{-1}, the Cholesky factor used for
@@ -386,6 +344,8 @@ def run_grid(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if refinement_iters < 0:
+        raise ValueError("refinement_iters must be >= 0")
     n = grid.n_blocks
     if obs.n_blocks != n:
         raise ValueError("observation count does not match the grid")
@@ -423,12 +383,12 @@ def run_grid(
     factors = [_noisy_cholesky(sub, sigma) for sub in subs]
 
     def averaged(rotations):
-        # denoise every clique's raw blocks under its rotations; average overlaps
+        # denoise every clique's raw blocks under its rotations R_j1; average overlaps
         sums = np.zeros_like(blocks)
         counts = np.zeros(n)
         for clique, k, local_rotations in zip(cliques, which, rotations):
             sums[clique] += denoise_given_poses(
-                blocks[clique], [r.T for r in local_rotations], subs[k], sigma, factor=factors[k]
+                blocks[clique], local_rotations, subs[k], sigma, factor=factors[k]
             )
             counts[clique] += 1
         if not counts.all():
@@ -438,26 +398,30 @@ def run_grid(
     def direct(clique, k):
         local = blocks[clique]
         if len(clique) == 2:
-            return [estimate_pair(*local, direct_ops[k])]
+            return [estimate_pair(*local, direct_ops[k]).matrix.T]
         tri = estimate_triplet_direct(*local, direct_ops[k], max_sweeps=max_sweeps, tol=tol)
-        return [tri.r12, tri.r13]
+        return [tri.r12.matrix.T, tri.r13.matrix.T]
 
-    rotations = [direct(c, k) for c, k in zip(cliques, which)]
+    # (cliques, J - 1, d, d): the rotations R_j1 of each clique's later blocks
+    rotations = np.array([direct(c, k) for c, k in zip(cliques, which)])
     field = averaged(rotations)
 
     if method == "iterative" and refinement_iters > 0 and 0 < sigma < 1:
-        base = field
         refresh_ops = [local_operator(sub, residual_noise_sigma(sub, sigma)) for sub in subs]
+        b1, b2, b3 = (field[idx] for idx in np.array(cliques).T)
+        b2t, b3t = b2.transpose(0, 2, 1), b3.transpose(0, 2, 1)
 
-        def refreshed(clique, k, r12, r13):
-            for _ in range(refinement_iters):
-                tri = estimate_triplet_direct(
-                    *base[clique], refresh_ops[k], max_sweeps=max_sweeps, tol=tol, init=(r12, r13)
-                )
-                r12, r13 = tri.r12, tri.r13
-            return [r12, r13]
+        def tiles(name):
+            # (T, D, D): each triplet's refresh tile, transposed as the coefficients use it
+            return np.stack([getattr(op, name) for op in refresh_ops])[which].transpose(0, 2, 1)
 
-        rotations = [refreshed(c, k, *r) for c, k, r in zip(cliques, which, rotations)]
+        ma = b2t @ tiles("ua") @ b1
+        mb = b3t @ tiles("ub") @ b1
+        mc = b3t @ tiles("uc") @ b2
+        r21, r31 = rotations[:, 0], rotations[:, 1]
+        for _ in range(refinement_iters):
+            r21, r31 = _alternate_stack(ma, mb, mc, r21, r31, max_sweeps, tol)
+        rotations = np.stack([r21, r31], axis=1)
         field = averaged(rotations)
 
     estimates = ChannelField(field)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mra_sync import Rotation, procrustes_project, relative_pose, sample_pose_set
+from mra_sync.procrustes import _project_stack
 
 
 def rot2(theta):
@@ -176,3 +177,31 @@ def test_rotation_rejects_non_finite():
                 Rotation(np.full((d, d), bad))
         with pytest.raises(ValueError):
             procrustes_project(np.full((d, d), np.nan))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_project_stack_matches_per_item_projection(rng, d):
+    scales = np.exp(rng.uniform(-5.0, 5.0, 300))
+    special = [
+        np.zeros((d, d)),
+        np.diag([-1.0] + [1.0] * (d - 1)),
+        np.full((d, d), 1e308),
+        1e308 * np.eye(d),
+        np.diag([1e308] + [1e-300] * (d - 1)),
+    ]
+    # entries near the largest float, where p and q are finite but p + q overflows
+    huge = 0.7e308 * rng.uniform(-1.0, 1.0, (20, d, d))
+    x = np.concatenate([scales[:, None, None] * rng.standard_normal((300, d, d)), special, huge])
+    projected = _project_stack(x)
+    assert projected.shape == x.shape
+    for item, got in zip(x, projected):
+        assert got.tobytes() == procrustes_project(item).matrix.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_project_stack_refuses_non_finite_input(d):
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros((3, d, d))
+        x[1, 0, 1] = bad
+        with pytest.raises(ValueError):
+            _project_stack(x)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 import mra_sync.sync as sync_module
+from mra_sync.sync import _alternate_stack
 from mra_sync import (
     ChannelField,
     CoverageError,
@@ -20,7 +23,6 @@ from mra_sync import (
     lattice_edges,
     negated_noisy_inverse,
     observe,
-    refine_triplet,
     run_grid,
     sample_channel,
     sample_pose_set,
@@ -221,25 +223,6 @@ def test_triplet_warm_start_converges_immediately(default_grid, default_cov):
     assert again.sweeps == 1
 
 
-# ------------------------------------------------------------- refinement
-
-
-def test_refine_zero_noise_returns_observations(default_grid, default_cov):
-    sub = default_cov.submatrix((0, 1, 6))
-    obs, _, _, _ = make_instance(default_grid, default_cov, math.inf, 2)
-    blocks = [obs.blocks[0], obs.blocks[1], obs.blocks[6]]
-    for iters in (1, 4):
-        den, _ = refine_triplet(*blocks, sub, 0.0, outer_iters=iters)
-        for a, b in zip(den, blocks):
-            assert np.array_equal(a, b)
-
-
-def test_refine_requires_positive_iters(default_cov):
-    sub = default_cov.submatrix((0, 1, 6))
-    with pytest.raises(ValueError):
-        refine_triplet(np.ones((12, 2)), np.ones((12, 2)), np.ones((12, 2)), sub, 0.1, outer_iters=0)
-
-
 # ---------------------------------------------------------------- run_grid
 
 
@@ -256,10 +239,8 @@ def test_run_grid_single_triplet_matches_local_estimators():
     for a, b in zip(report.estimates.blocks, manual):
         assert np.array_equal(a, b)
 
-    refined, _ = refine_triplet(obs.blocks[0], obs.blocks[1], obs.blocks[2], sub, sigma)
     report_it = run_grid("iterative", obs, cov, grid, ground_truth=effective, refinement_iters=4)
-    for a, b in zip(report_it.estimates.blocks, refined):
-        assert np.array_equal(a, b)
+    assert np.array_equal(report_it.estimates.blocks, iterative_reference(obs, cov, grid, 4))
 
 
 def test_run_grid_zero_noise_exact_all_methods():
@@ -398,6 +379,34 @@ def test_run_grid_iterative_matches_per_round_reference(default_grid, default_co
             assert np.array_equal(a, b)
 
 
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from([(1, 3), (2, 3), (3, 3)]),
+    d=st.sampled_from([2, 3, 4]),
+    length_scale=st.sampled_from([1.5, 3.0, 6.0]),
+    snr_db=st.sampled_from([5.0, 10.0, 20.0, 40.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_run_grid_iterative_matches_reference_bit_for_bit(shape, d, length_scale, snr_db, seed):
+    grid = GridSpec(*shape, 2, 2, d)
+    cov = build_row_covariance(grid, KernelSpec(length_scale))
+    obs, _, _, _ = make_instance(grid, cov, snr_db, seed)
+    report = run_grid("iterative", obs, cov, grid, refinement_iters=4)
+    expected = np.array(iterative_reference(obs, cov, grid, 4))
+    assert report.estimates.blocks.tobytes() == expected.tobytes()
+
+
+def test_run_grid_rejects_negative_refinement_iters(default_grid, default_cov, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("operators built before the arguments were checked")
+
+    monkeypatch.setattr(sync_module, "negated_noisy_inverse", no_work)
+    obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 0)
+    for method in ("pairwise", "sync_base", "iterative"):
+        with pytest.raises(ValueError, match="refinement_iters"):
+            run_grid(method, obs, default_cov, default_grid, refinement_iters=-2)
+
+
 def test_run_grid_iterative_denoises_each_triplet_twice(default_grid, default_cov, monkeypatch):
     calls = {"denoise_given_poses": 0, "estimate_triplet_direct": 0}
 
@@ -417,7 +426,8 @@ def test_run_grid_iterative_denoises_each_triplet_twice(default_grid, default_co
     n_triplets = len(build_triplet_tiling(default_grid).triplets)
     assert n_triplets == 50
     assert calls["denoise_given_poses"] == 2 * n_triplets
-    assert calls["estimate_triplet_direct"] == (1 + 4) * n_triplets
+    # the refinement rounds run as stacked alternations, not per-triplet calls
+    assert calls["estimate_triplet_direct"] == n_triplets
 
 
 def test_run_grid_builds_operators_once_per_clique_covariance(
@@ -502,3 +512,70 @@ def test_observe_and_precoding_match_per_block_loop():
                 assert np.array_equal(e, h @ p)
                 assert np.array_equal(o, e + 0.3 * loop_rng.standard_normal(e.shape))
             assert rng.standard_normal() == loop_rng.standard_normal()
+
+
+# ------------------------------------------------- stacked refinement rounds
+
+
+def warm_triplets(d, seed=1):
+    """Every triplet of a 3x3 grid at 10 dB: its blocks, its tiles, and a
+    two-sweep direct estimate to warm-start the alternation from."""
+    grid = GridSpec(3, 3, 2, 2, d)
+    cov = build_row_covariance(grid, KernelSpec(3.0))
+    obs, _, _, sigma = make_instance(grid, cov, 10.0, seed)
+    triplets = []
+    for t in build_triplet_tiling(grid).triplets:
+        sub = cov.submatrix(t)
+        tiles = split_triplet_tiles(negated_noisy_inverse(sub, sigma), grid.block_cells)
+        blocks = obs.blocks[list(t)]
+        triplets.append((blocks, tiles, estimate_triplet_direct(*blocks, tiles, max_sweeps=2)))
+    return triplets
+
+
+def stacks(triplets):
+    """(T, d, d) stacks of Ma, Mb, Mc, R21 and R31, each item formed as
+    estimate_triplet_direct forms it."""
+    items = []
+    for (b1, b2, b3), tiles, start in triplets:
+        items.append((
+            b2.T @ tiles.ua.T @ b1,
+            b3.T @ tiles.ub.T @ b1,
+            b3.T @ tiles.uc.T @ b2,
+            start.r12.matrix.T,
+            start.r13.matrix.T,
+        ))
+    return [np.array(stack) for stack in zip(*items)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_alternate_stack_matches_chained_warm_started_calls(d):
+    triplets = warm_triplets(d)
+    ma, mb, mc, r21, r31 = stacks(triplets)
+    chained = [start for _, _, start in triplets]
+    converged = set()
+    for _ in range(3):
+        r21, r31 = _alternate_stack(ma, mb, mc, r21, r31, 20, sync_module.DEFAULT_TOL)
+        chained = [
+            estimate_triplet_direct(*blocks, tiles, max_sweeps=20, init=(est.r12, est.r13))
+            for (blocks, tiles, _), est in zip(triplets, chained)
+        ]
+        for t, est in enumerate(chained):
+            assert r21[t].tobytes() == est.r12.matrix.T.tobytes()
+            assert r31[t].tobytes() == est.r13.matrix.T.tobytes()
+        converged |= {est.converged for est in chained}
+    # some triplets stopped on the step rule, others ran to the sweep cap
+    assert converged == {True, False}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_alternate_stack_independent_of_batch_size_and_order(d):
+    ma, mb, mc, r21, r31 = stacks(warm_triplets(d, seed=2))
+    tol = sync_module.DEFAULT_TOL
+    whole = np.array(_alternate_stack(ma, mb, mc, r21, r31, 20, tol))
+    back = slice(None, None, -1)
+    backwards = np.array(_alternate_stack(ma[back], mb[back], mc[back], r21[back], r31[back], 20, tol))
+    assert whole.tobytes() == backwards[:, back].tobytes()
+    for t in range(len(ma)):
+        one = slice(t, t + 1)
+        single = np.array(_alternate_stack(ma[one], mb[one], mc[one], r21[one], r31[one], 20, tol))
+        assert single.tobytes() == whole[:, one].tobytes()
