@@ -3,7 +3,7 @@ iterative refinement, and grid-level orchestration.
 
 All local estimators work on a handful of blocks at a time. Rotation
 estimation reduces to orthogonal Procrustes projections of small coefficient
-matrices; channel denoising is one SPD solve of the stacked local system.
+matrices; channel denoising is one linear map of the stacked local system.
 """
 
 from __future__ import annotations
@@ -116,43 +116,53 @@ def negated_noisy_inverse(cov_sub: np.ndarray, sigma: float) -> np.ndarray:
     return -inv
 
 
-def denoise_given_poses(blocks, rotations, cov_sub: np.ndarray, sigma: float, *, factor=None):
+def _smoother(cov_sub: np.ndarray, sigma: float) -> np.ndarray:
+    """(U_sub + sigma^2 I)^{-1} U_sub, the map that denoises a stacked clique; I at sigma = 0."""
+    if sigma == 0:
+        return np.eye(cov_sub.shape[0])
+    return cho_solve(_noisy_cholesky(cov_sub, sigma), cov_sub)
+
+
+def _denoise_average(blocks, index, rotations, smoothers, which, counts):
+    """Denoise the (C, J) cliques ``index`` of the (N, D, d) ``blocks`` and average overlaps.
+
+    Each clique's blocks are carried into its first block's frame by its
+    (J-1, d, d) ``rotations``, stacked, multiplied by ``smoothers[which[c]]``
+    in one broadcast product per smoother, rotated back and summed in clique order.
+    """
+    local = blocks[index]
+    local[:, 1:] = local[:, 1:] @ rotations
+    stacked = local.reshape(len(index), -1, local.shape[-1])
+    for k, smoother in enumerate(smoothers):
+        stacked[which == k] = smoother @ stacked[which == k]
+    local[:, 1:] = local[:, 1:] @ rotations.transpose(0, 1, 3, 2)
+    sums = np.zeros_like(blocks)
+    np.add.at(sums, index, local)
+    return sums / counts[:, None, None]
+
+
+def denoise_given_poses(blocks, rotations, cov_sub: np.ndarray, sigma: float):
     """MAP channel estimate for J blocks with known relative rotations.
 
     ``rotations`` holds the J-1 rotations R_{j1} (j = 2..J) that carry each
     later block into the first block's frame. The stacked, frame-aligned
-    system is solved as (sigma^2 U^{-1} + I)^{-1} applied to the stacked
-    right side, computed in the better-conditioned equivalent form
-    (sigma^2 I + U)^{-1} U; the result is rotated back into each block's own
-    frame. sigma = 0 short-circuits to the inputs, which the system reduces
-    to exactly.
-
-    ``factor`` optionally supplies the Cholesky factor of U + sigma^2 I, as
-    ``scipy.linalg.cho_factor`` returns it with ``lower=True``, so that
-    cliques sharing one covariance factorize it once.
+    blocks are multiplied by (sigma^2 U^{-1} + I)^{-1}, computed in the
+    better-conditioned form (sigma^2 I + U)^{-1} U, and rotated back into
+    each block's own frame: the one-clique case of the stacked pass of
+    :func:`run_grid`, with the same bits.
     """
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    if len(rotations) != len(blocks) - 1:
+    blocks = np.array(blocks, dtype=float)
+    cov_sub = np.asarray(cov_sub, dtype=float)
+    j, rows, d = blocks.shape
+    if len(rotations) != j - 1:
         raise ValueError("need exactly J-1 rotations for J blocks")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    if sigma == 0:
-        return [b.copy() for b in blocks]
-
-    rot = [_as_matrix(r) for r in rotations]
-    cov_sub = np.asarray(cov_sub, dtype=float)
-    stacked = np.vstack([blocks[0]] + [b @ r for b, r in zip(blocks[1:], rot)])
-    if stacked.shape[0] != cov_sub.shape[0]:
-        raise ValueError("covariance size does not match the stacked blocks")
-    if factor is None:
-        factor = _noisy_cholesky(cov_sub, sigma)
-    aligned = cho_solve(factor, cov_sub @ stacked)
-
-    d = blocks[0].shape[0]
-    out = [aligned[:d]]
-    for j, r in enumerate(rot, start=1):
-        out.append(aligned[j * d : (j + 1) * d] @ r.T)
-    return out
+    if cov_sub.shape != (j * rows, j * rows):
+        raise ValueError(f"covariance shape {cov_sub.shape} does not fit {j * rows} stacked rows")
+    rot = np.array([_as_matrix(r) for r in rotations], dtype=float).reshape(1, j - 1, d, d)
+    smoother, index = [_smoother(cov_sub, sigma)], np.arange(j)[None]
+    return list(_denoise_average(blocks, index, rot, smoother, np.zeros(1, int), np.ones(j)))
 
 
 def estimate_pair(b1: np.ndarray, b2: np.ndarray, ua: np.ndarray) -> Rotation:
@@ -245,10 +255,10 @@ def estimate_triplet_direct(
     )
 
 
-def _step(d21: np.ndarray, d31: np.ndarray) -> float:
-    """The larger Frobenius norm of two rotation steps, as np.linalg.norm computes it."""
-    d21, d31 = d21.ravel(), d31.ravel()
-    return math.sqrt(max(d21 @ d21, d31 @ d31))
+def _step(d21: np.ndarray, d31: np.ndarray):
+    """The larger Frobenius norm of two rotation steps, for one triplet or each of a stack."""
+    squared = [np.einsum("...ij,...ij->...", step, step) for step in (d21, d31)]
+    return np.sqrt(np.maximum(*squared))
 
 
 def _alternate_stack(ma, mb, mc, r21, r31, max_sweeps: int, tol: float):
@@ -267,8 +277,7 @@ def _alternate_stack(ma, mb, mc, r21, r31, max_sweeps: int, tol: float):
         new31 = _project_stack(mb[active] + mc[active] @ prev21)
         new21 = _project_stack(ma[active] + mc[active].transpose(0, 2, 1) @ new31)
         r21[active], r31[active] = new21, new31
-        steps = map(_step, new21 - prev21, new31 - prev31)
-        active = active[[not step < tol for step in steps]]
+        active = active[~(_step(new21 - prev21, new31 - prev31) < tol)]
         if not active.size:
             break
     return r21, r31
@@ -304,8 +313,6 @@ def run_grid(
     tiling: TripletTiling | None = None,
     ground_truth: ChannelField | None = None,
     refinement_iters: int = DEFAULT_REFINEMENT_ITERS,
-    max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    tol: float = DEFAULT_TOL,
 ) -> EstimateReport:
     """Run one estimator over the whole grid and average overlapping estimates.
 
@@ -314,7 +321,8 @@ def run_grid(
     clique estimates its relative rotations and denoises its raw blocks
     under them. Blocks covered by several cliques receive the unweighted
     mean of their estimates, which is safe because every local estimate
-    targets the same effective channel in the block's own frame.
+    targets the same effective channel in the block's own frame. Before any
+    solve, mismatched shapes raise ``ValueError``, uncovered blocks ``CoverageError``.
 
     ``iterative`` starts from the synchronization-base field. Each triplet
     then re-estimates its rotations ``refinement_iters`` times, warm-started
@@ -332,12 +340,13 @@ def run_grid(
     direct estimate's noise-adapted rotations; a negative count raises
     ``ValueError``.
 
-    The local operators depend on a clique's covariance submatrix only:
-    the tiles of -(U_sub + sigma^2 I)^{-1}, the Cholesky factor used for
-    denoising, and the refinement's residual scale and tiles are built once
-    per distinct submatrix (keyed by its content) and shared by every clique
-    with that submatrix. With a stationary kernel a lattice has two distinct
-    edge and two distinct triplet submatrices, however many cliques it has.
+    The local operators depend on a clique's covariance submatrix only: the
+    tiles of -(U_sub + sigma^2 I)^{-1}, the smoother (U_sub + sigma^2 I)^{-1}
+    U_sub, and the refinement's residual scale and tiles are built once per
+    distinct submatrix (keyed by its content) and shared by its cliques; a
+    stationary lattice has two distinct edge and two distinct triplet
+    submatrices. Denoising and averaging are one stacked pass over all
+    cliques, bit for bit :func:`denoise_given_poses` clique by clique.
 
     Metrics are computed against ``ground_truth`` (the true effective field)
     when given, otherwise left unavailable.
@@ -347,30 +356,34 @@ def run_grid(
     if refinement_iters < 0:
         raise ValueError("refinement_iters must be >= 0")
     n = grid.n_blocks
-    if obs.n_blocks != n:
-        raise ValueError("observation count does not match the grid")
-    sigma = obs.noise_sigma
     d_cells = grid.block_cells
+    for what, got, expected in (
+        ("observation count", obs.n_blocks, n),
+        ("observation block shape", obs.block_shape, (d_cells, grid.antennas)),
+        ("covariance block size", cov.block_size, d_cells),
+        ("covariance block count", cov.n_blocks, n),
+    ):
+        if got != expected:
+            raise ValueError(f"{what} {got} does not match the grid's {expected}")
+    sigma = obs.noise_sigma
     blocks = obs.blocks
 
     if method == "pairwise":
         cliques = lattice_edges(grid)
     else:
-        if tiling is None:
-            tiling = build_triplet_tiling(grid)
-        if len(tiling.coverage) != n or min(tiling.coverage) < 1:
-            raise CoverageError("tiling does not cover every block of this grid")
-        cliques = tiling.triplets
-    cliques = [list(c) for c in cliques]
+        cliques = (build_triplet_tiling(grid) if tiling is None else tiling).triplets
+    # (cliques, J): the blocks of each clique
+    index = np.array(cliques, dtype=int)
+    counts = np.bincount(index.ravel(), minlength=n)
+    if len(counts) != n or not counts.all():
+        raise CoverageError("the cliques leave a block uncovered or name one outside this grid")
     # one covariance submatrix per distinct content; each clique holds the index of its own
-    slots, subs, which = {}, [], []
-    for clique in cliques:
-        sub = cov.submatrix(clique)
-        key = (sub.shape, sub.tobytes())
-        if key not in slots:
-            slots[key] = len(subs)
-            subs.append(sub)
-        which.append(slots[key])
+    distinct = {}
+    which = np.array([
+        distinct.setdefault(sub.tobytes(), (len(distinct), sub))[0]
+        for sub in map(cov.submatrix, index)
+    ])
+    subs = [sub for _, sub in distinct.values()]
 
     def local_operator(sub, scale):
         # the pair's cross tile or the triplet's named tiles of -(U_sub + scale^2 I)^{-1}
@@ -380,35 +393,22 @@ def run_grid(
         return split_triplet_tiles(neg_inv, d_cells)
 
     direct_ops = [local_operator(sub, sigma) for sub in subs]
-    factors = [_noisy_cholesky(sub, sigma) for sub in subs]
-
-    def averaged(rotations):
-        # denoise every clique's raw blocks under its rotations R_j1; average overlaps
-        sums = np.zeros_like(blocks)
-        counts = np.zeros(n)
-        for clique, k, local_rotations in zip(cliques, which, rotations):
-            sums[clique] += denoise_given_poses(
-                blocks[clique], local_rotations, subs[k], sigma, factor=factors[k]
-            )
-            counts[clique] += 1
-        if not counts.all():
-            raise CoverageError("at least one block received no local estimate")
-        return sums / counts[:, None, None]
+    smoothers = [_smoother(sub, sigma) for sub in subs]
 
     def direct(clique, k):
         local = blocks[clique]
         if len(clique) == 2:
             return [estimate_pair(*local, direct_ops[k]).matrix.T]
-        tri = estimate_triplet_direct(*local, direct_ops[k], max_sweeps=max_sweeps, tol=tol)
+        tri = estimate_triplet_direct(*local, direct_ops[k])
         return [tri.r12.matrix.T, tri.r13.matrix.T]
 
     # (cliques, J - 1, d, d): the rotations R_j1 of each clique's later blocks
-    rotations = np.array([direct(c, k) for c, k in zip(cliques, which)])
-    field = averaged(rotations)
+    rotations = np.array([direct(c, k) for c, k in zip(index, which)])
+    field = _denoise_average(blocks, index, rotations, smoothers, which, counts)
 
     if method == "iterative" and refinement_iters > 0 and 0 < sigma < 1:
         refresh_ops = [local_operator(sub, residual_noise_sigma(sub, sigma)) for sub in subs]
-        b1, b2, b3 = (field[idx] for idx in np.array(cliques).T)
+        b1, b2, b3 = (field[idx] for idx in index.T)
         b2t, b3t = b2.transpose(0, 2, 1), b3.transpose(0, 2, 1)
 
         def tiles(name):
@@ -420,9 +420,9 @@ def run_grid(
         mc = b3t @ tiles("uc") @ b2
         r21, r31 = rotations[:, 0], rotations[:, 1]
         for _ in range(refinement_iters):
-            r21, r31 = _alternate_stack(ma, mb, mc, r21, r31, max_sweeps, tol)
+            r21, r31 = _alternate_stack(ma, mb, mc, r21, r31, DEFAULT_MAX_SWEEPS, DEFAULT_TOL)
         rotations = np.stack([r21, r31], axis=1)
-        field = averaged(rotations)
+        field = _denoise_average(blocks, index, rotations, smoothers, which, counts)
 
     estimates = ChannelField(field)
 

@@ -104,6 +104,12 @@ def test_denoise_rotation_count_mismatch(rng):
         denoise_given_poses([np.ones((2, 2))] * 3, [np.eye(2)], np.eye(6), 0.5)
 
 
+def test_denoise_checks_covariance_size_before_zero_noise_shortcut():
+    for sigma in (0.0, 0.5):
+        with pytest.raises(ValueError, match="covariance"):
+            denoise_given_poses([np.ones((2, 2))] * 2, [np.eye(2)], np.eye(7), sigma)
+
+
 # ---------------------------------------------------------- pair estimation
 
 
@@ -407,8 +413,30 @@ def test_run_grid_rejects_negative_refinement_iters(default_grid, default_cov, m
             run_grid(method, obs, default_cov, default_grid, refinement_iters=-2)
 
 
+def test_run_grid_rejects_mismatched_shapes(default_grid, default_cov, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("operators built before the shapes were checked")
+
+    for name in ("negated_noisy_inverse", "_smoother", "_noisy_cholesky"):
+        monkeypatch.setattr(sync_module, name, no_work)
+    monkeypatch.setattr(RowCovariance, "submatrix", no_work)
+    obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 0)
+    wide_obs, _, _, _ = make_instance(GridSpec(6, 6, 3, 4, 3), default_cov, 10.0, 0)
+    small_cells = build_row_covariance(GridSpec(6, 6, 2, 3, 2), KernelSpec(5.0))
+    few_blocks = build_row_covariance(GridSpec(5, 5, 3, 4, 2), KernelSpec(5.0))
+    cases = (
+        (wide_obs, default_cov, "observation block shape"),
+        (obs, small_cells, "covariance block size"),
+        (obs, few_blocks, "covariance block count"),
+    )
+    for method in ("pairwise", "sync_base", "iterative"):
+        for observations, cov, message in cases:
+            with pytest.raises(ValueError, match=message):
+                run_grid(method, observations, cov, default_grid)
+
+
 def test_run_grid_iterative_denoises_each_triplet_twice(default_grid, default_cov, monkeypatch):
-    calls = {"denoise_given_poses": 0, "estimate_triplet_direct": 0}
+    calls = {"_denoise_average": 0, "denoise_given_poses": 0, "estimate_triplet_direct": 0}
 
     def counting(name):
         original = getattr(sync_module, name)
@@ -422,10 +450,16 @@ def test_run_grid_iterative_denoises_each_triplet_twice(default_grid, default_co
     for name in calls:
         monkeypatch.setattr(sync_module, name, counting(name))
     obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 7)
-    run_grid("iterative", obs, default_cov, default_grid, refinement_iters=4)
     n_triplets = len(build_triplet_tiling(default_grid).triplets)
     assert n_triplets == 50
-    assert calls["denoise_given_poses"] == 2 * n_triplets
+    # one stacked denoise-and-average pass over all cliques per field; the
+    # refinement denoises once under its final rotations, not once per round
+    for method, passes in (("pairwise", 1), ("sync_base", 1), ("iterative", 2)):
+        for name in calls:
+            calls[name] = 0
+        run_grid(method, obs, default_cov, default_grid, refinement_iters=4)
+        assert calls["_denoise_average"] == passes, method
+        assert calls["denoise_given_poses"] == 0, method
     # the refinement rounds run as stacked alternations, not per-triplet calls
     assert calls["estimate_triplet_direct"] == n_triplets
 
@@ -488,11 +522,20 @@ def per_clique_reference(method, obs, cov, grid):
 
 
 def test_run_grid_shared_operators_match_per_clique_loop(default_grid, default_cov):
-    for snr_db, seed in ((0.0, 2), (10.0, 7), (20.0, 8)):
-        obs, _, _, _ = make_instance(default_grid, default_cov, snr_db, seed)
+    strip = GridSpec(1, 7, 3, 4, 3)
+    cases = [
+        (default_grid, default_cov, 0.0, 2),
+        (default_grid, default_cov, 10.0, 7),
+        (default_grid, default_cov, 20.0, 8),
+        # d = 4 at high SNR, where U + sigma^2 I is ill-conditioned
+        (GridSpec(6, 6, 3, 4, 4), default_cov, 70.0, 5),
+        (strip, build_row_covariance(strip, KernelSpec(5.0)), 10.0, 6),
+    ]
+    for grid, cov, snr_db, seed in cases:
+        obs, _, _, _ = make_instance(grid, cov, snr_db, seed)
         for method in ("pairwise", "sync_base"):
-            report = run_grid(method, obs, default_cov, default_grid)
-            expected = per_clique_reference(method, obs, default_cov, default_grid)
+            report = run_grid(method, obs, cov, grid)
+            expected = per_clique_reference(method, obs, cov, grid)
             assert np.array_equal(report.estimates.blocks, expected)
 
 
