@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .experiment import (
     ConfigError,
-    _parse_pair,
+    _apply_settings,
     default_config,
     emit_csv,
     emit_summary,
@@ -39,45 +38,27 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_overrides(parser, with_seeds: bool):
-    parser.add_argument("--grid", help="lattice size as HxW blocks")
-    parser.add_argument("--block", help="block size as RxC cells")
-    parser.add_argument("--antennas", type=int, help="antenna count d")
-    parser.add_argument("--lengthscale", type=float, help="kernel length scale (cells)")
-    parser.add_argument("--out", help="CSV output path")
-    if with_seeds:
-        parser.add_argument("--seeds", type=int, help="number of random seeds")
+# Setting flags: each is the config key of the same name and takes the same
+# text, so both reach ExperimentConfig through one parser.
+_SETTING_FLAGS = {
+    "grid": "lattice size as HxW blocks",
+    "block": "block size as RxC cells",
+    "antennas": "antenna count d",
+    "lengthscale": "kernel length scale (cells)",
+    "seeds": "number of random seeds",
+    "out": "CSV output path",
+}
+_DEMO_FLAGS = ("grid", "block", "antennas", "lengthscale")
 
 
-def _apply_overrides(config, args):
-    try:
-        grid = config.grid
-        kernel = config.kernel
-        if args.grid:
-            h, w = _parse_pair(args.grid, "x", "--grid")
-            grid = replace(grid, height_blocks=h, width_blocks=w)
-        if args.block:
-            r, c = _parse_pair(args.block, "x", "--block")
-            grid = replace(grid, block_rows=r, block_cols=c)
-        if args.antennas is not None:
-            grid = replace(grid, antennas=args.antennas)
-        if args.lengthscale is not None:
-            kernel = replace(kernel, length_scale=args.lengthscale)
-        updates = {"grid": grid, "kernel": kernel}
-        if getattr(args, "seeds", None) is not None:
-            updates["seeds"] = args.seeds
-        if args.out:
-            updates["output_path"] = args.out
-        return replace(config, **updates)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _settings(args) -> dict:
+    """The setting flags given on the command line, as config key -> value text."""
+    return {k: v for k, v in vars(args).items() if k in _SETTING_FLAGS and v is not None}
 
 
 def _run_sweep(args) -> int:
     config = load_config(args.config) if args.config else default_config()
-    config = _apply_overrides(config, args)
+    config = _apply_settings(config, _settings(args))
     rows = run_sweep(config)
     if config.output_path:
         emit_csv(rows, config.output_path)
@@ -92,7 +73,7 @@ def _run_sweep(args) -> int:
 
 
 def _run_demo(args) -> int:
-    config = _apply_overrides(default_config(), args)
+    config = _apply_settings(default_config(), _settings(args))
     grid, kernel = config.grid, config.kernel
     sigma = sigma_from_snr_db(args.snr)
     cov = build_row_covariance(grid, kernel)
@@ -134,12 +115,14 @@ def main(argv=None) -> int:
 
     sweep = sub.add_parser("sweep", help="run a seeded SNR-by-method sweep")
     sweep.add_argument("--config", help="path to a key = value config file")
-    _add_overrides(sweep, with_seeds=True)
+    for key, text in _SETTING_FLAGS.items():
+        sweep.add_argument(f"--{key}", help=text)
 
     demo = sub.add_parser("demo", help="run one seeded instance and print metrics")
     demo.add_argument("--snr", type=float, required=True, help="per-element SNR in dB")
     demo.add_argument("--seed", type=int, default=0, help="RNG seed")
-    _add_overrides(demo, with_seeds=False)
+    for key in _DEMO_FLAGS:
+        demo.add_argument(f"--{key}", help=_SETTING_FLAGS[key])
 
     try:
         args = parser.parse_args(argv)

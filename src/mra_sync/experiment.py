@@ -53,6 +53,11 @@ CSV_HEADER = "snr_db,method,seed,nmse_db,rel_improvement_db,wall_ms"
 
 DEFAULT_SNR_DB = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
 
+# The config keys; the CLI's setting flags are some of these same keys.
+_KEYS = frozenset(
+    "grid block antennas lengthscale jitter snr_db seeds methods refinement_iters out".split()
+)
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration or config file."""
@@ -76,18 +81,22 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if self.seeds < 1:
+        if not self.seeds >= 1:
             raise ConfigError("seeds must be >= 1")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must be non-empty")
+        snr_db_list = tuple(float(s) for s in self.snr_db_list)
+        # +inf is the noiseless limit (sigma = 0); NaN and -inf give no usable sigma.
+        if not all(s > -math.inf for s in snr_db_list):
+            raise ConfigError(f"snr_db values must be numbers or +inf, got {snr_db_list}")
         if not self.methods:
             raise ConfigError("methods must be non-empty")
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; expected {ALL_METHODS}")
-        if self.refinement_iters < 0:
+        if not self.refinement_iters >= 0:
             raise ConfigError("refinement_iters must be >= 0")
-        object.__setattr__(self, "snr_db_list", tuple(float(s) for s in self.snr_db_list))
+        object.__setattr__(self, "snr_db_list", snr_db_list)
         object.__setattr__(self, "methods", tuple(self.methods))
 
 
@@ -124,14 +133,70 @@ class SummaryRow:
     single_seed: bool
 
 
-def _parse_pair(text: str, sep: str, what: str) -> tuple:
-    parts = text.lower().split(sep)
+def _parse_pair(text: str, key: str) -> tuple:
+    parts = text.lower().split("x")
     if len(parts) != 2:
-        raise ConfigError(f"{what} must look like '<a>{sep}<b>', got {text!r}")
+        raise ValueError(f"{key} must look like '<a>x<b>', got {text!r}")
     try:
         return int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise ConfigError(f"{what} components must be integers: {text!r}") from exc
+        raise ValueError(f"{key} components must be integers: {text!r}") from exc
+
+
+def _read_settings(text: str) -> dict:
+    """The 'key = value' lines of a config text as a dict; '#' starts a comment."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        values[key.strip().lower()] = val.strip()
+    unknown = sorted(set(values) - _KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    return values
+
+
+def _apply_settings(config: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """``config`` with each given setting (config key -> value text) parsed onto it.
+
+    This is the one parser of settings: config files and CLI flags both go
+    through it. A value that does not parse, or that the config classes
+    reject, raises ConfigError.
+    """
+    grid, kernel, fields = {}, {}, {}
+    try:
+        if "grid" in values:
+            grid["height_blocks"], grid["width_blocks"] = _parse_pair(values["grid"], "grid")
+        if "block" in values:
+            grid["block_rows"], grid["block_cols"] = _parse_pair(values["block"], "block")
+        if "antennas" in values:
+            grid["antennas"] = int(values["antennas"])
+        if "lengthscale" in values:
+            kernel["length_scale"] = float(values["lengthscale"])
+        if "jitter" in values:
+            kernel["jitter"] = float(values["jitter"])
+        if "snr_db" in values:
+            fields["snr_db_list"] = tuple(float(s) for s in values["snr_db"].split(","))
+        if "seeds" in values:
+            fields["seeds"] = int(values["seeds"])
+        if "methods" in values:
+            fields["methods"] = tuple(m.strip() for m in values["methods"].split(",") if m.strip())
+        if "refinement_iters" in values:
+            fields["refinement_iters"] = int(values["refinement_iters"])
+        if "out" in values:
+            fields["output_path"] = values["out"]
+        return replace(
+            config,
+            grid=replace(config.grid, **grid),
+            kernel=replace(config.kernel, **kernel),
+            **fields,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -141,79 +206,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     snr_db (comma list), seeds, methods (comma list), refinement_iters, out.
     Unknown keys are rejected; omitted keys keep their defaults.
     """
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-        elif ":" in line:
-            key, _, val = line.partition(":")
-        else:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        values[key.strip().lower()] = val.strip()
-
-    known = {
-        "grid",
-        "block",
-        "antennas",
-        "lengthscale",
-        "jitter",
-        "snr_db",
-        "seeds",
-        "methods",
-        "refinement_iters",
-        "out",
-    }
-    unknown = sorted(set(values) - known)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
-
-    base = default_config()
-    height, width = (
-        _parse_pair(values["grid"], "x", "grid")
-        if "grid" in values
-        else (base.grid.height_blocks, base.grid.width_blocks)
-    )
-    rows, cols = (
-        _parse_pair(values["block"], "x", "block")
-        if "block" in values
-        else (base.grid.block_rows, base.grid.block_cols)
-    )
-    try:
-        antennas = int(values.get("antennas", base.grid.antennas))
-        lengthscale = float(values.get("lengthscale", base.kernel.length_scale))
-        jitter = float(values.get("jitter", base.kernel.jitter))
-        seeds = int(values.get("seeds", base.seeds))
-        refinement_iters = int(values.get("refinement_iters", base.refinement_iters))
-        snr_db = (
-            tuple(float(s) for s in values["snr_db"].split(","))
-            if "snr_db" in values
-            else base.snr_db_list
-        )
-    except ValueError as exc:
-        raise ConfigError(f"could not parse numeric config value: {exc}") from exc
-    methods = (
-        tuple(m.strip() for m in values["methods"].split(",") if m.strip())
-        if "methods" in values
-        else base.methods
-    )
-
-    try:
-        grid = GridSpec(height, width, rows, cols, antennas)
-        kernel = KernelSpec(length_scale=lengthscale, jitter=jitter)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        grid=grid,
-        kernel=kernel,
-        snr_db_list=snr_db,
-        seeds=seeds,
-        methods=methods,
-        refinement_iters=refinement_iters,
-        output_path=values.get("out", base.output_path),
-    )
+    return _apply_settings(default_config(), _read_settings(text))
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -22,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -110,10 +111,11 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("height_blocks", "width_blocks", "block_rows", "block_cols"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
-        if self.antennas < 2:
-            raise ValueError("antennas must be >= 2 (rotations are trivial below)")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.antennas, numbers.Integral) or self.antennas < 2:
+            raise ValueError("antennas must be an integer >= 2 (rotations are trivial below)")
 
     @property
     def n_blocks(self) -> int:
@@ -164,7 +166,7 @@ class KernelSpec:
     def __post_init__(self):
         if not self.length_scale > 0:
             raise ValueError("length_scale must be positive")
-        if self.jitter < 0:
+        if not self.jitter >= 0:
             raise ValueError("jitter must be non-negative")
 
 
@@ -189,8 +191,9 @@ class RowCovariance:
         if self.block_size < 1 or m.shape[0] % self.block_size != 0:
             raise ValueError("matrix size must be a multiple of block_size")
         scale = max(1.0, float(m.max()), float(-m.min()))
-        if _max_asymmetry(m) > SYMMETRY_RTOL * scale:
-            raise ValueError("covariance is not symmetric to relative 1e-12")
+        # An inf entry makes scale inf and a NaN entry the asymmetry NaN: both fail.
+        if not (np.isfinite(scale) and _max_asymmetry(m) <= SYMMETRY_RTOL * scale):
+            raise ValueError("covariance is not finite and symmetric to relative 1e-12")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_chol", _cholesky_lower(m))
 
@@ -400,7 +403,7 @@ class ObservationSet:
     noise_sigma: float
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be non-negative")
         blocks = _matrix_stack(
             self.blocks,
@@ -470,7 +473,7 @@ def observe(effective: ChannelField, sigma: float, rng) -> ObservationSet:
 
     sigma == 0 returns the input blocks bit-exactly.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
         return ObservationSet(effective.blocks.copy(), 0.0)

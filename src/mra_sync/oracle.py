@@ -44,7 +44,7 @@ def mmse_error_covariance(sigma_x: np.ndarray, sigma: float) -> np.ndarray:
     matrix at sigma = 0.
     """
     sigma_x = np.asarray(sigma_x, dtype=float)
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     n = sigma_x.shape[0]
     if sigma == 0:
@@ -65,9 +65,10 @@ def ideal_sync_mse_db(cov: RowCovariance, sigma: float) -> float:
     spectra for a built covariance; see the module docstring). That is
     tr(mmse_error_covariance(U, sigma)) / (N*D) exactly. The antenna columns
     are i.i.d., so the column count cancels; sigma = 0 reports the
-    perfect-observation sentinel -inf and sigma < 0 raises ValueError.
+    perfect-observation sentinel -inf, and a negative or NaN sigma raises
+    ValueError.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     if sigma == 0:
         return -math.inf

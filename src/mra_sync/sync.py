@@ -156,7 +156,7 @@ def denoise_given_poses(blocks, rotations, cov_sub: np.ndarray, sigma: float):
     j, rows, d = blocks.shape
     if len(rotations) != j - 1:
         raise ValueError("need exactly J-1 rotations for J blocks")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     if cov_sub.shape != (j * rows, j * rows):
         raise ValueError(f"covariance shape {cov_sub.shape} does not fit {j * rows} stacked rows")

@@ -17,7 +17,8 @@ from mra_sync import (
     run_sweep,
     sigma_from_snr_db,
 )
-from mra_sync import experiment
+import mra_sync
+from mra_sync import cli, experiment
 from mra_sync.cli import main as cli_main
 from mra_sync.experiment import CSV_HEADER, ConfigError, load_config, parse_config_text
 
@@ -188,6 +189,21 @@ def test_parse_config_defaults_and_errors():
         parse_config_text("just some words")
 
 
+def test_parse_config_takes_equals_only():
+    with pytest.raises(ConfigError, match="key = value"):
+        parse_config_text("grid: 3x4")
+
+
+def test_config_rejects_nan_and_negative_infinite_snr(tmp_path, capsys):
+    for text in ("nan", "-inf", "0, nan"):
+        with pytest.raises(ConfigError, match="snr_db"):
+            parse_config_text(f"snr_db = {text}")
+    assert parse_config_text("snr_db = inf").snr_db_list == (math.inf,)
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("snr_db = nan\n")
+    assert cli_main(["sweep", "--config", str(cfg)]) == 1
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.cfg"))
@@ -224,6 +240,29 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert cli_main(["demo", "--snr", "10", "--antennas", "1"]) == 1
 
 
+def test_cli_flags_apply_on_top_of_config_file(tmp_path, monkeypatch, capsys):
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep", lambda config: seen.append(config) or [])
+    cfg = tmp_path / "base.cfg"
+    cfg.write_text("grid = 3x4\nblock = 2x2\nseeds = 3\n")
+    assert cli_main(["sweep", "--config", str(cfg), "--grid", "2x2"]) == 0
+    (config,) = seen
+    assert (config.grid.height_blocks, config.grid.width_blocks) == (2, 2)
+    assert (config.grid.block_rows, config.grid.block_cols, config.seeds) == (2, 2, 3)
+
+
+def test_cli_demo_rejects_out(tmp_path, capsys):
+    # demo writes no file, so it takes no --out
+    out_path = tmp_path / "x.csv"
+    assert cli_main(["demo", "--snr", "10", "--out", str(out_path)]) == 1
+    assert not out_path.exists()
+
+
+def test_cli_rejects_unparsable_flag_values(capsys):
+    assert cli_main(["demo", "--snr", "10", "--antennas", "2.5"]) == 1
+    assert cli_main(["sweep", "--lengthscale", "abc"]) == 1
+
+
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     # unwritable output path surfaces as a runtime failure
     code = cli_main(
@@ -256,6 +295,22 @@ def test_run_sweep_records_typed_failures_and_raises_bugs(monkeypatch):
     monkeypatch.setattr(experiment, "run_grid", failing(TypeError("a bug")))
     with pytest.raises(TypeError, match="a bug"):
         run_sweep(config)
+
+
+def test_package_exports_every_module_name_once():
+    modules = (
+        mra_sync.model,
+        mra_sync.procrustes,
+        mra_sync.graph,
+        mra_sync.sync,
+        mra_sync.oracle,
+        experiment,
+    )
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(mra_sync, name) is getattr(module, name), (module.__name__, name)
+    assert mra_sync.__all__ == [name for module in modules for name in module.__all__]
+    assert len(set(mra_sync.__all__)) == len(mra_sync.__all__)
 
 
 @pytest.mark.xfail(

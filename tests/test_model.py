@@ -73,6 +73,18 @@ def test_kernel_validation():
         KernelSpec(1.0, jitter=-1e-9)
 
 
+def test_grid_requires_integer_sizes():
+    for sizes in ((2.5, 2, 2, 2, 2), (2, 2, math.nan, 2, 2), (2, 2, 2, 2, 2.0)):
+        with pytest.raises(ValueError, match="integer"):
+            GridSpec(*sizes)
+    assert GridSpec(np.int64(2), 2, 2, 2, 2).n_blocks == 4
+
+
+def test_kernel_rejects_nan_jitter():
+    with pytest.raises(ValueError, match="jitter"):
+        KernelSpec(1.0, jitter=math.nan)
+
+
 def test_covariance_constant_kernel_limit():
     grid = GridSpec(2, 2, 2, 2, 2)
     cov = build_row_covariance(grid, KernelSpec(1e8, jitter=1e-6))
@@ -126,6 +138,15 @@ def test_covariance_rejects_asymmetry():
     m[0, 1] = 1e-6
     with pytest.raises(ValueError):
         RowCovariance(m, 2)
+
+
+def test_covariance_rejects_non_finite():
+    # NaN compares false both ways, so only a check written to pass on good
+    # values alone rejects it; an inf entry makes the symmetry scale inf
+    asymmetric_inf = np.array([[1.0, np.inf], [0.0, 1.0]])
+    for bad in (np.full((2, 2), np.nan), np.diag([1.0, np.inf]), asymmetric_inf):
+        with pytest.raises(ValueError, match="not finite"):
+            RowCovariance(bad, 1)
 
 
 def test_covariance_rejects_indefinite():
@@ -285,6 +306,13 @@ def test_channel_field_and_observations_reject_empty_and_ragged():
             make((np.zeros((2, 2)), np.zeros((3, 2))))
         with pytest.raises(ValueError, match="one common shape"):
             make((np.zeros(2), np.zeros(2)))
+
+
+def test_observations_reject_nan_sigma(rng):
+    with pytest.raises(ValueError, match="noise_sigma"):
+        ObservationSet(np.zeros((1, 2, 2)), math.nan)
+    with pytest.raises(ValueError, match="sigma"):
+        observe(ChannelField(np.zeros((1, 2, 2))), math.nan, rng)
 
 
 def test_apply_precoding_identity_and_inverse(rng):

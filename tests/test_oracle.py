@@ -109,6 +109,15 @@ def test_ideal_sync_rejects_negative_sigma():
         ideal_sync_mse_db(RowCovariance(np.eye(4), 2), -0.1)
 
 
+def test_sigma_checks_reject_nan():
+    with pytest.raises(ValueError, match="sigma"):
+        ideal_sync_mse_db(RowCovariance(np.eye(4), 2), math.nan)
+    with pytest.raises(ValueError, match="sigma"):
+        mmse_error_covariance(np.eye(2), math.nan)
+    with pytest.raises(ValueError, match="sigma"):
+        denoise_given_poses(np.zeros((2, 2, 2)), [np.eye(2)], np.eye(4), math.nan)
+
+
 def test_ideal_sync_monotone_in_sigma(default_cov):
     sigmas = [0.05, 0.1, 0.3, 0.5, 1.0, 2.0]
     values = [ideal_sync_mse_db(default_cov, s) for s in sigmas]
