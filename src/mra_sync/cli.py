@@ -1,4 +1,4 @@
-"""Command-line front end: seeded sweeps and single-instance demos.
+"""Command-line front end: seeded sweeps, and demos that are one-seed sweeps.
 
 Exit codes: 0 on success, 1 on configuration errors, 2 on runtime failures.
 """
@@ -8,27 +8,17 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .experiment import (
     ConfigError,
+    _KEYS,
     _apply_settings,
+    _run_seeds,
     default_config,
     emit_csv,
     emit_summary,
     load_config,
     run_sweep,
-    sigma_from_snr_db,
 )
-from .model import (
-    apply_precoding,
-    build_row_covariance,
-    observe,
-    sample_channel,
-    sample_pose_set,
-)
-from .oracle import ideal_sync_mse_db, single_channel_mse_db
-from .sync import METHODS, run_grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,8 +42,17 @@ _DEMO_FLAGS = ("grid", "block", "antennas", "lengthscale")
 
 
 def _settings(args) -> dict:
-    """The setting flags given on the command line, as config key -> value text."""
-    return {k: v for k, v in vars(args).items() if k in _SETTING_FLAGS and v is not None}
+    """The settings given on the command line, as config key -> value text."""
+    return {k: v for k, v in vars(args).items() if k in _KEYS and v is not None}
+
+
+def _print_summary(rows) -> None:
+    for s in emit_summary(rows):
+        se = "" if s.single_seed else f" +- {s.se_nmse_db:.3f}"
+        print(
+            f"snr {s.snr_db:6.1f} dB  {s.method:20s} "
+            f"nmse {s.mean_nmse_db:8.3f} dB{se}  (n={s.n})"
+        )
 
 
 def _run_sweep(args) -> int:
@@ -63,49 +62,13 @@ def _run_sweep(args) -> int:
     if config.output_path:
         emit_csv(rows, config.output_path)
         print(f"wrote {len(rows)} rows to {config.output_path}")
-    for s in emit_summary(rows):
-        se = "" if s.single_seed else f" +- {s.se_nmse_db:.3f}"
-        print(
-            f"snr {s.snr_db:6.1f} dB  {s.method:20s} "
-            f"nmse {s.mean_nmse_db:8.3f} dB{se}  (n={s.n})"
-        )
+    _print_summary(rows)
     return 0
 
 
 def _run_demo(args) -> int:
     config = _apply_settings(default_config(), _settings(args))
-    grid, kernel = config.grid, config.kernel
-    sigma = sigma_from_snr_db(args.snr)
-    cov = build_row_covariance(grid, kernel)
-
-    rng = np.random.default_rng(args.seed)
-    channels = sample_channel(cov, grid.antennas, rng)
-    poses = sample_pose_set(grid.n_blocks, grid.antennas, rng)
-    effective = apply_precoding(channels, poses)
-    obs = observe(effective, sigma, rng)
-
-    print(
-        f"grid {grid.height_blocks}x{grid.width_blocks} blocks of "
-        f"{grid.block_rows}x{grid.block_cols} cells, d={grid.antennas}, "
-        f"lengthscale {kernel.length_scale}, snr {args.snr:.1f} dB, seed {args.seed}"
-    )
-    for method in METHODS:
-        report = run_grid(
-            method,
-            obs,
-            cov,
-            grid,
-            ground_truth=effective,
-            refinement_iters=config.refinement_iters,
-        )
-        print(f"  {method:12s} nmse {report.nmse_db:8.3f} dB")
-    d_cells = grid.block_cells
-    print(f"  {'ideal':12s} nmse {ideal_sync_mse_db(cov, sigma):8.3f} dB (closed form)")
-    print(
-        f"  {'single':12s} nmse "
-        f"{single_channel_mse_db(cov.matrix[:d_cells, :d_cells], sigma):8.3f} dB "
-        f"(closed form)"
-    )
+    _print_summary(_run_seeds(config, (args.seed,)))
     return 0
 
 
@@ -118,8 +81,10 @@ def main(argv=None) -> int:
     for key, text in _SETTING_FLAGS.items():
         sweep.add_argument(f"--{key}", help=text)
 
-    demo = sub.add_parser("demo", help="run one seeded instance and print metrics")
-    demo.add_argument("--snr", type=float, required=True, help="per-element SNR in dB")
+    demo = sub.add_parser("demo", help="run the sweep on one seed and print its rows")
+    demo.add_argument(
+        "--snr", dest="snr_db", required=True, help="per-element SNR in dB (the snr_db setting)"
+    )
     demo.add_argument("--seed", type=int, default=0, help="RNG seed")
     for key in _DEMO_FLAGS:
         demo.add_argument(f"--{key}", help=_SETTING_FLAGS[key])

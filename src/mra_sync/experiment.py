@@ -10,8 +10,10 @@ as extra rows with seed -1.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -49,8 +51,6 @@ __all__ = [
 LINE_METHODS = ("ideal_line", "single_channel_line")
 ALL_METHODS = METHODS + LINE_METHODS
 
-CSV_HEADER = "snr_db,method,seed,nmse_db,rel_improvement_db,wall_ms"
-
 DEFAULT_SNR_DB = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
 
 # The config keys; the CLI's setting flags are some of these same keys.
@@ -81,8 +81,8 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if not self.seeds >= 1:
-            raise ConfigError("seeds must be >= 1")
+        if not isinstance(self.seeds, numbers.Integral) or self.seeds < 1:
+            raise ConfigError(f"seeds must be an integer >= 1, got {self.seeds!r}")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must be non-empty")
         snr_db_list = tuple(float(s) for s in self.snr_db_list)
@@ -94,8 +94,10 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; expected {ALL_METHODS}")
-        if not self.refinement_iters >= 0:
-            raise ConfigError("refinement_iters must be >= 0")
+        if not isinstance(self.refinement_iters, numbers.Integral) or self.refinement_iters < 0:
+            raise ConfigError(
+                f"refinement_iters must be an integer >= 0, got {self.refinement_iters!r}"
+            )
         object.__setattr__(self, "snr_db_list", snr_db_list)
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -119,6 +121,12 @@ class ResultRow:
     nmse_db: float
     rel_improvement_db: float
     wall_ms: float
+
+
+# The CSV columns are ResultRow's fields, in order; read_csv parses each by its type.
+_CSV_COLUMNS = fields(ResultRow)
+_CSV_TYPES = tuple(get_type_hints(ResultRow)[f.name] for f in _CSV_COLUMNS)
+CSV_HEADER = ",".join(f.name for f in _CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -153,7 +161,10 @@ def _read_settings(text: str) -> dict:
         key, sep, val = line.partition("=")
         if not sep:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        values[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key in values:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set")
+        values[key] = val.strip()
     unknown = sorted(set(values) - _KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
@@ -204,7 +215,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     Recognized keys: grid (HxW), block (RxC), antennas, lengthscale, jitter,
     snr_db (comma list), seeds, methods (comma list), refinement_iters, out.
-    Unknown keys are rejected; omitted keys keep their defaults.
+    Unknown or repeated keys are rejected; omitted keys keep their defaults.
+    The CLI's setting flags, ``demo --snr`` included, are these same keys and
+    go through the same parser and checks.
     """
     return _apply_settings(default_config(), _read_settings(text))
 
@@ -219,14 +232,21 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def run_sweep(config: ExperimentConfig) -> list:
-    """Run the full (snr, seed, method) sweep and append closed-form lines.
+    """Run the full (snr, seed, method) sweep over seeds 0 .. config.seeds - 1.
 
     Seed s always uses its own fresh RNG stream, so a cell's data depends
-    only on (grid, kernel, snr, seed). Estimator failures of the typed kinds
-    (SolverError, and ValueError, which covers CoverageError,
-    NotPositiveDefiniteError and InvalidTripletError) are recorded as NaN
-    rows rather than aborting the sweep; any other exception propagates.
+    only on (grid, kernel, snr, seed); the CLI's ``demo`` is this sweep over
+    one given seed. Estimator failures of the typed kinds (SolverError, and
+    ValueError, which covers CoverageError, NotPositiveDefiniteError and
+    InvalidTripletError) are recorded as NaN rows rather than aborting the
+    sweep; any other exception propagates. Each SNR ends with the requested
+    closed-form lines.
     """
+    return _run_seeds(config, range(config.seeds))
+
+
+def _run_seeds(config: ExperimentConfig, seeds) -> list:
+    """The rows of ``run_sweep`` for the given seed ids instead of ``range(config.seeds)``."""
     cov = build_row_covariance(config.grid, config.kernel)
     tiling = build_triplet_tiling(config.grid)
     d_cells = config.grid.block_cells
@@ -237,7 +257,7 @@ def run_sweep(config: ExperimentConfig) -> list:
     for snr_db in config.snr_db_list:
         sigma = sigma_from_snr_db(snr_db)
         single_db = single_channel_mse_db(cov_block, sigma)
-        for seed in range(config.seeds):
+        for seed in seeds:
             rng = np.random.default_rng(seed)
             channels = sample_channel(cov, config.grid.antennas, rng)
             poses = sample_pose_set(config.grid.n_blocks, config.grid.antennas, rng)
@@ -294,25 +314,18 @@ def emit_csv(rows, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for r in ordered:
-                fh.write(
-                    ",".join(
-                        (
-                            _format_value(r.snr_db),
-                            r.method,
-                            str(r.seed),
-                            _format_value(r.nmse_db),
-                            _format_value(r.rel_improvement_db),
-                            _format_value(r.wall_ms),
-                        )
-                    )
-                    + "\n"
-                )
+                values = (_format_value(getattr(r, f.name)) for f in _CSV_COLUMNS)
+                fh.write(",".join(values) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
 def read_csv(path: str) -> list:
-    """Parse a CSV produced by emit_csv back into ResultRow values."""
+    """Parse a CSV produced by emit_csv back into ResultRow values.
+
+    A row that does not hold one parsable value per column raises
+    ``ValueError`` naming the file and line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -321,20 +334,18 @@ def read_csv(path: str) -> list:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected CSV header in {path}")
     rows = []
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        snr, method, seed, nmse, rel, wall = line.split(",")
-        rows.append(
-            ResultRow(
-                snr_db=float(snr),
-                method=method,
-                seed=int(seed),
-                nmse_db=float(nmse),
-                rel_improvement_db=float(rel),
-                wall_ms=float(wall),
+        values = line.split(",")
+        if len(values) != len(_CSV_TYPES):
+            raise ValueError(
+                f"{path} line {lineno}: expected {len(_CSV_TYPES)} fields, got {len(values)}"
             )
-        )
+        try:
+            rows.append(ResultRow(*(kind(v) for kind, v in zip(_CSV_TYPES, values))))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from exc
     return rows
 
 

@@ -9,6 +9,7 @@ matrices; channel denoising is one linear map of the stacked local system.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,7 +323,8 @@ def run_grid(
     under them. Blocks covered by several cliques receive the unweighted
     mean of their estimates, which is safe because every local estimate
     targets the same effective channel in the block's own frame. Before any
-    solve, mismatched shapes raise ``ValueError``, uncovered blocks ``CoverageError``.
+    solve, observations, covariance or ``ground_truth`` shaped for another
+    grid raise ``ValueError``, uncovered blocks ``CoverageError``.
 
     ``iterative`` starts from the synchronization-base field. Each triplet
     then re-estimates its rotations ``refinement_iters`` times, warm-started
@@ -337,8 +339,8 @@ def run_grid(
     own rotation errors and just confirm them). refinement_iters = 0 falls
     back to the synchronization base, as does noise at or above the unit
     signal power (sigma >= 1), where the refresh measurably loses to the
-    direct estimate's noise-adapted rotations; a negative count raises
-    ``ValueError``.
+    direct estimate's noise-adapted rotations; a negative or non-integer
+    count raises ``ValueError``.
 
     The local operators depend on a clique's covariance submatrix only: the
     tiles of -(U_sub + sigma^2 I)^{-1}, the smoother (U_sub + sigma^2 I)^{-1}
@@ -353,16 +355,22 @@ def run_grid(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if refinement_iters < 0:
-        raise ValueError("refinement_iters must be >= 0")
+    if not isinstance(refinement_iters, numbers.Integral) or refinement_iters < 0:
+        raise ValueError(f"refinement_iters must be an integer >= 0, got {refinement_iters!r}")
     n = grid.n_blocks
     d_cells = grid.block_cells
-    for what, got, expected in (
+    shapes = [
         ("observation count", obs.n_blocks, n),
         ("observation block shape", obs.block_shape, (d_cells, grid.antennas)),
         ("covariance block size", cov.block_size, d_cells),
         ("covariance block count", cov.n_blocks, n),
-    ):
+    ]
+    if ground_truth is not None:
+        shapes += [
+            ("ground-truth block count", ground_truth.n_blocks, n),
+            ("ground-truth block shape", ground_truth.block_shape, (d_cells, grid.antennas)),
+        ]
+    for what, got, expected in shapes:
         if got != expected:
             raise ValueError(f"{what} {got} does not match the grid's {expected}")
     sigma = obs.noise_sigma

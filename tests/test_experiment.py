@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -111,6 +113,20 @@ def test_golden_csv_stable(tmp_path):
     assert strip_wall(read_csv(str(fresh))) == strip_wall(read_csv(golden))
 
 
+def test_csv_header_is_result_row_fields():
+    assert CSV_HEADER.split(",") == [f.name for f in dataclasses.fields(ResultRow)]
+
+
+def test_read_csv_names_file_and_line_of_malformed_row(tmp_path):
+    path = tmp_path / "rows.csv"
+    emit_csv([ResultRow(0.0, "m", 0, -2.0, 0.5, 1.0)], str(path))
+    good = path.read_text()
+    for bad_row in ("0,m,0,-2,0.5\n", "0,m,0,-2,0.5,1,7\n", "0,m,zero,-2,0.5,1\n"):
+        path.write_text(good + bad_row)
+        with pytest.raises(ValueError, match=re.escape(f"{path} line 3")):
+            read_csv(str(path))
+
+
 def test_summary_aggregates():
     rows = [
         ResultRow(0.0, "m", 0, -10.0, 0.0, 1.0),
@@ -153,6 +169,19 @@ def test_config_validation():
         tiny_config(snr_db_list=())
     with pytest.raises(ConfigError):
         tiny_config(methods=("nope",))
+
+
+def test_config_rejects_non_integer_counts():
+    for field in ("seeds", "refinement_iters"):
+        for value in (2.5, 2.0, "3", math.nan):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                tiny_config(**{field: value})
+    assert tiny_config(seeds=np.int64(2), refinement_iters=np.int64(0)).seeds == 2
+
+
+def test_parse_config_rejects_repeated_key():
+    with pytest.raises(ConfigError, match="line 3: key 'seeds' is already set"):
+        parse_config_text("seeds = 3\n# again\nSeeds = 5\n")
 
 
 def test_parse_config_text_full():
@@ -217,6 +246,40 @@ def test_cli_demo_runs(capsys):
     assert code == 0
     for token in ("pairwise", "sync_base", "iterative", "ideal", "single"):
         assert token in out
+
+
+def test_demo_is_the_sweep_on_one_seed(capsys):
+    # the demo's settings: tiny_config's geometry and SNRs, default refinement
+    config = tiny_config(refinement_iters=default_config().refinement_iters)
+    demo_rows = experiment._run_seeds(config, (1,))
+    sweep_rows = [r for r in run_sweep(config) if r.seed in (1, -1)]
+    assert strip_wall(demo_rows) == strip_wall(sweep_rows)
+    code = cli_main(
+        ["demo", "--snr", "0,10", "--seed", "1", "--grid", "2x2", "--block", "2x2",
+         "--lengthscale", "3"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert len(out.splitlines()) == len(demo_rows)
+    for r in demo_rows:
+        assert f"{r.snr_db:6.1f} dB  {r.method:20s} nmse {r.nmse_db:8.3f} dB" in out
+
+
+def test_cli_demo_snr_is_the_snr_db_setting(capsys):
+    for text in ("nan", "-inf", "ten"):
+        assert cli_main(["demo", "--snr", text]) == 1
+        assert "config error" in capsys.readouterr().err
+
+
+def test_cli_demo_prints_typed_failure_as_nan_row(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise SolverError(1e17)
+
+    monkeypatch.setattr(experiment, "run_grid", failing)
+    assert cli_main(["demo", "--snr", "10", "--grid", "2x2", "--block", "2x2"]) == 0
+    out = capsys.readouterr().out
+    for method in ("pairwise", "sync_base", "iterative"):
+        assert f"{method:20s} nmse      nan dB" in out
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):

@@ -435,6 +435,34 @@ def test_run_grid_rejects_mismatched_shapes(default_grid, default_cov, monkeypat
                 run_grid(method, observations, cov, default_grid)
 
 
+def test_run_grid_rejects_non_integer_refinement_iters(default_grid, default_cov):
+    obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 0)
+    noiseless, _, _, _ = make_instance(default_grid, default_cov, math.inf, 0)
+    for observations in (obs, noiseless):
+        with pytest.raises(ValueError, match="refinement_iters must be an integer"):
+            run_grid("iterative", observations, default_cov, default_grid, refinement_iters=1.5)
+
+
+def test_run_grid_rejects_mismatched_ground_truth(monkeypatch):
+    # a 1-block field would broadcast against all six blocks of a 2x3 grid
+    grid = GridSpec(2, 3, 2, 2, 2)
+    cov = build_row_covariance(grid, KernelSpec(3.0))
+    obs, truth, _, _ = make_instance(grid, cov, 10.0, 0)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("operators built before the shapes were checked")
+
+    monkeypatch.setattr(sync_module, "negated_noisy_inverse", no_work)
+    cases = (
+        (ChannelField(truth.blocks[:1]), "ground-truth block count"),
+        (ChannelField(truth.blocks[:, :, :1]), "ground-truth block shape"),
+    )
+    for method in ("pairwise", "sync_base", "iterative"):
+        for bad_truth, message in cases:
+            with pytest.raises(ValueError, match=message):
+                run_grid(method, obs, cov, grid, ground_truth=bad_truth)
+
+
 def test_run_grid_iterative_denoises_each_triplet_twice(default_grid, default_cov, monkeypatch):
     calls = {"_denoise_average": 0, "denoise_given_poses": 0, "estimate_triplet_direct": 0}
 
