@@ -67,6 +67,8 @@ def _run_sweep(args) -> int:
 
 
 def _run_demo(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {args.seed}")
     config = _apply_settings(default_config(), _settings(args))
     _print_summary(_run_seeds(config, (args.seed,)))
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
@@ -94,6 +95,9 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in ALL_METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; expected {ALL_METHODS}")
+        repeated = [m for m, count in Counter(self.methods).items() if count > 1]
+        if repeated:
+            raise ConfigError(f"methods {repeated} are listed more than once")
         if not isinstance(self.refinement_iters, numbers.Integral) or self.refinement_iters < 0:
             raise ConfigError(
                 f"refinement_iters must be an integer >= 0, got {self.refinement_iters!r}"

@@ -77,14 +77,9 @@ def triangulate_grid(grid: GridSpec):
 
 @dataclass(frozen=True)
 class TripletTiling:
-    """Index triples covering the grid, with per-block covering counts."""
+    """The index triples of the grid's triplet problems; ``run_grid`` checks they cover it."""
 
     triplets: tuple
-    coverage: tuple
-
-    def __post_init__(self):
-        if any(c < 1 for c in self.coverage):
-            raise ValueError("tiling leaves at least one block uncovered")
 
 
 def build_triplet_tiling(grid: GridSpec) -> TripletTiling:
@@ -92,7 +87,7 @@ def build_triplet_tiling(grid: GridSpec) -> TripletTiling:
 
     Grids with no triangles (single-row or single-column strips) fall back to
     overlapping consecutive index triples, which keeps every local problem at
-    size three.
+    size three. Either way every block lies in at least one triple.
     """
     if grid.n_blocks < 3:
         raise ValueError("a triplet tiling needs at least three blocks")
@@ -100,11 +95,7 @@ def build_triplet_tiling(grid: GridSpec) -> TripletTiling:
     if not triangles:
         n = grid.n_blocks
         triangles = [(i, i + 1, i + 2) for i in range(n - 2)]
-    coverage = [0] * grid.n_blocks
-    for t in triangles:
-        for b in t:
-            coverage[b] += 1
-    return TripletTiling(tuple(triangles), tuple(coverage))
+    return TripletTiling(tuple(triangles))
 
 
 class RelativePoseGraph:

@@ -52,10 +52,6 @@ class Rotation:
         object.__setattr__(self, "matrix", m)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def T(self) -> "Rotation":
         """The inverse rotation."""
         return Rotation(self.matrix.T.copy(), self.degenerate)
@@ -118,7 +114,7 @@ def _project_stack(x: np.ndarray) -> np.ndarray:
 
     d = 2 maps the scalar closed form's ``math.hypot`` over the items (numpy's
     hypot rounds differently) and sends the items with p = 0 or an overflowing
-    p + q through :func:`procrustes_project` one at a time; d >= 3 takes one
+    p + q through the scalar :func:`_project` one at a time; d >= 3 takes one
     stacked SVD and flips the last column of A where det(A V^T) < 0.
     """
     if not np.all(np.isfinite(x)):
@@ -138,7 +134,7 @@ def _project_stack(x: np.ndarray) -> np.ndarray:
     c, s = cos_part / p, sin_part / p
     out = np.stack([c, -s, s, c], axis=-1).reshape(x.shape)
     for t in special:
-        out[t] = procrustes_project(x[t]).matrix
+        out[t] = _project(x[t])[0]
     return out
 
 

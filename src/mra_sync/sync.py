@@ -87,7 +87,8 @@ class TripletEstimate:
 class EstimateReport:
     """Denoised per-block estimates with error metrics vs the true effective field.
 
-    Metric fields are None when no ground truth was supplied.
+    Metric fields are None when no ground truth was supplied. ``refinement_iters``
+    counts the refinement rounds that ran: 0 unless ``iterative`` refined (0 < sigma < 1).
     """
 
     estimates: ChannelField
@@ -221,9 +222,7 @@ def estimate_triplet_direct(
     b2 = np.asarray(b2, dtype=float)
     b3 = np.asarray(b3, dtype=float)
 
-    ma = b2.T @ tiles.ua.T @ b1
-    mb = b3.T @ tiles.ub.T @ b1
-    mc = b3.T @ tiles.uc.T @ b2
+    ma, mb, mc = _coefficients(b1, b2, b3, tiles.ua, tiles.ub, tiles.uc)
 
     if init is None:
         r21 = procrustes_project(ma).matrix
@@ -254,6 +253,16 @@ def estimate_triplet_direct(
         converged=converged,
         sweeps=sweeps,
     )
+
+
+def _coefficients(b1, b2, b3, ua, ub, uc) -> tuple:
+    """Ma = B2^T Ua^T B1, Mb = B3^T Ub^T B1, Mc = B3^T Uc^T B2 of one triplet or a (T, ...) stack.
+
+    Left to right: the bit-for-bit tests of both alternations pin this order.
+    """
+    b2t, b3t = b2.swapaxes(-1, -2), b3.swapaxes(-1, -2)
+    ua, ub, uc = (u.swapaxes(-1, -2) for u in (ua, ub, uc))
+    return b2t @ ua @ b1, b3t @ ub @ b1, b3t @ uc @ b2
 
 
 def _step(d21: np.ndarray, d31: np.ndarray):
@@ -414,20 +423,14 @@ def run_grid(
     rotations = np.array([direct(c, k) for c, k in zip(index, which)])
     field = _denoise_average(blocks, index, rotations, smoothers, which, counts)
 
-    if method == "iterative" and refinement_iters > 0 and 0 < sigma < 1:
+    rounds = refinement_iters if method == "iterative" and 0 < sigma < 1 else 0
+    if rounds:
         refresh_ops = [local_operator(sub, residual_noise_sigma(sub, sigma)) for sub in subs]
-        b1, b2, b3 = (field[idx] for idx in index.T)
-        b2t, b3t = b2.transpose(0, 2, 1), b3.transpose(0, 2, 1)
-
-        def tiles(name):
-            # (T, D, D): each triplet's refresh tile, transposed as the coefficients use it
-            return np.stack([getattr(op, name) for op in refresh_ops])[which].transpose(0, 2, 1)
-
-        ma = b2t @ tiles("ua") @ b1
-        mb = b3t @ tiles("ub") @ b1
-        mc = b3t @ tiles("uc") @ b2
+        # (T, D, D) each: every triplet's refresh cross tiles Ua, Ub, Uc
+        cross = [np.stack(tile)[which] for tile in zip(*((t.ua, t.ub, t.uc) for t in refresh_ops))]
+        ma, mb, mc = _coefficients(*(field[idx] for idx in index.T), *cross)
         r21, r31 = rotations[:, 0], rotations[:, 1]
-        for _ in range(refinement_iters):
+        for _ in range(rounds):
             r21, r31 = _alternate_stack(ma, mb, mc, r21, r31, DEFAULT_MAX_SWEEPS, DEFAULT_TOL)
         rotations = np.stack([r21, r31], axis=1)
         field = _denoise_average(blocks, index, rotations, smoothers, which, counts)
@@ -443,5 +446,5 @@ def run_grid(
         per_block_mse=per_block_mse,
         nmse_db=nmse_db,
         method=method,
-        refinement_iters=refinement_iters if method == "iterative" else 0,
+        refinement_iters=rounds,
     )

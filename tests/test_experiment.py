@@ -171,6 +171,13 @@ def test_config_validation():
         tiny_config(methods=("nope",))
 
 
+def test_config_rejects_repeated_method():
+    with pytest.raises(ConfigError, match=r"\['sync_base'\] are listed more than once"):
+        tiny_config(methods=("sync_base", "pairwise", "sync_base"))
+    with pytest.raises(ConfigError, match="sync_base"):
+        parse_config_text("methods = sync_base, sync_base\nseeds = 1")
+
+
 def test_config_rejects_non_integer_counts():
     for field in ("seeds", "refinement_iters"):
         for value in (2.5, 2.0, "3", math.nan):
@@ -269,6 +276,11 @@ def test_cli_demo_snr_is_the_snr_db_setting(capsys):
     for text in ("nan", "-inf", "ten"):
         assert cli_main(["demo", "--snr", text]) == 1
         assert "config error" in capsys.readouterr().err
+
+
+def test_cli_demo_rejects_negative_seed(capsys):
+    assert cli_main(["demo", "--snr", "10", "--seed", "-1"]) == 1
+    assert "config error: seed must be an integer >= 0" in capsys.readouterr().err
 
 
 def test_cli_demo_prints_typed_failure_as_nan_row(monkeypatch, capsys):

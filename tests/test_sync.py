@@ -14,6 +14,7 @@ from mra_sync import (
     GridSpec,
     KernelSpec,
     RowCovariance,
+    SolverError,
     apply_precoding,
     build_row_covariance,
     build_triplet_tiling,
@@ -108,6 +109,17 @@ def test_denoise_checks_covariance_size_before_zero_noise_shortcut():
     for sigma in (0.0, 0.5):
         with pytest.raises(ValueError, match="covariance"):
             denoise_given_poses([np.ones((2, 2))] * 2, [np.eye(2)], np.eye(7), sigma)
+
+
+def test_indefinite_local_covariance_raises_solver_error(rng):
+    # -I + sigma^2 I stays negative definite, so its Cholesky factorization fails
+    with pytest.raises(SolverError) as info:
+        negated_noisy_inverse(-np.eye(4), 0.5)
+    assert info.value.condition_estimate == 1.0
+    indefinite = np.diag([1.0, 1.0, 1.0, -1.0])
+    blocks = [rng.standard_normal((2, 2)) for _ in range(2)]
+    with pytest.raises(SolverError):
+        denoise_given_poses(blocks, [np.eye(2)], indefinite, 0.5)
 
 
 # ---------------------------------------------------------- pair estimation
@@ -293,6 +305,14 @@ def test_run_grid_iterative_zero_iters_equals_sync_base(default_grid, default_co
         assert np.array_equal(a, b)
     assert it0.method == "iterative" and it0.refinement_iters == 0
     assert base.refinement_iters == 0
+
+
+def test_run_grid_reports_the_refinement_rounds_that_ran(default_grid, default_cov):
+    # the refinement runs only for 0 < sigma < 1; otherwise no round runs
+    for snr_db, rounds in ((10.0, 3), (0.0, 0), (math.inf, 0)):
+        obs, _, _, _ = make_instance(default_grid, default_cov, snr_db, 4)
+        report = run_grid("iterative", obs, default_cov, default_grid, refinement_iters=3)
+        assert report.refinement_iters == rounds, snr_db
 
 
 def test_run_grid_refinement_noop_at_unit_noise(default_grid, default_cov):
