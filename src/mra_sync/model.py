@@ -174,7 +174,8 @@ class KernelSpec:
 class RowCovariance:
     """SPD row covariance of the stacked signal, with block-aware slicing.
 
-    ``matrix`` is (N*D) x (N*D); ``block_size`` is D. Construction validates
+    ``matrix`` is (N*D) x (N*D), stored C-contiguous so that
+    :meth:`block_tiles` is a view; ``block_size`` is D. Construction validates
     symmetry and positive definiteness (via Cholesky; the factor is kept for
     sampling and density evaluation).
     """
@@ -185,7 +186,7 @@ class RowCovariance:
     _eigenvalues: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.ascontiguousarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("covariance must be a square matrix")
         if self.block_size < 1 or m.shape[0] % self.block_size != 0:
@@ -224,6 +225,11 @@ class RowCovariance:
         values = np.sort(values)
         values.setflags(write=False)
         object.__setattr__(self, "_eigenvalues", values)
+
+    def block_tiles(self) -> np.ndarray:
+        """``matrix`` as an (N, D, N, D) view: ``[i, :, j, :]`` is the D x D tile of blocks i, j."""
+        n, d = self.n_blocks, self.block_size
+        return self.matrix.reshape(n, d, n, d)
 
     def submatrix(self, blocks: Sequence[int]) -> np.ndarray:
         """Principal submatrix at the given block indices, in the given order."""

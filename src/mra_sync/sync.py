@@ -20,6 +20,7 @@ from .model import (
     ChannelField,
     CovarianceTiles,
     GridSpec,
+    InvalidTripletError,
     ObservationSet,
     RowCovariance,
     split_triplet_tiles,
@@ -47,6 +48,11 @@ METHODS = ("pairwise", "sync_base", "iterative")
 DEFAULT_MAX_SWEEPS = 8
 DEFAULT_TOL = 1e-10
 DEFAULT_REFINEMENT_ITERS = 4
+
+# A freed array of a few MiB raises glibc's dynamic mmap threshold for the rest
+# of the process and so changes the speed of later allocations; the gather of
+# clique covariances works in chunks of at most this many bytes.
+GATHER_CHUNK_BYTES = 2**20
 
 
 class SolverError(RuntimeError):
@@ -308,6 +314,62 @@ def residual_noise_sigma(cov_sub: np.ndarray, sigma: float) -> float:
     return float(np.sqrt(np.trace(err) / err.shape[0]))
 
 
+def _clique_index(cliques, size: int, n_blocks: int):
+    """The (C, size) block indices of ``cliques`` and the number of cliques covering each block.
+
+    Everything is checked before anything is gathered by the indices. A
+    clique that is not ``size`` integers, or that repeats a block, raises
+    :class:`InvalidTripletError`; one that names a block outside the grid, or
+    cliques that leave a block uncovered, raise :class:`CoverageError`.
+    """
+    try:
+        index = np.array(cliques)
+    except ValueError:  # cliques of different lengths
+        index = np.array(())
+    if index.shape[1:] != (size,) or index.dtype.kind != "i":
+        for clique in cliques:
+            if np.shape(clique) != (size,) or np.asarray(clique).dtype.kind not in "iu":
+                raise InvalidTripletError(f"clique {clique!r} is not {size} integer block indices")
+        index = np.array(cliques, dtype=int).reshape(-1, size)
+    outside = ((index < 0) | (index >= n_blocks)).any(axis=1)
+    if outside.any():
+        raise CoverageError(f"clique {index[outside][0].tolist()} names a block outside this grid")
+    counts = np.bincount(index.ravel(), minlength=n_blocks)
+    if not counts.all():
+        raise CoverageError("the cliques leave a block uncovered")
+    ordered = np.sort(index, axis=1)
+    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeated.any():
+        raise InvalidTripletError(f"duplicate block indices in {index[repeated][0].tolist()}")
+    return index, counts
+
+
+def _distinct_covariances(cov: RowCovariance, index: np.ndarray):
+    """Group the (C, J) cliques ``index`` by the content of their covariance submatrices.
+
+    Returns each clique's group number and one ``cov.submatrix`` per group,
+    taken at its first clique. Each clique is keyed by the bytes of its
+    (J, J, D, D) block tiles, a fixed permutation of its submatrix, so equal
+    keys mean equal submatrices on any covariance, stationary or not. The
+    tiles come from one fancy index of :meth:`RowCovariance.block_tiles` per
+    chunk of whole cliques, with no chunk above ``GATHER_CHUNK_BYTES``.
+    """
+    tiles = cov.block_tiles()
+    j, d = index.shape[1], cov.block_size
+    rows = max(1, GATHER_CHUNK_BYTES // (tiles.itemsize * (j * d) ** 2))
+    groups, which = {}, np.empty(len(index), dtype=int)
+    for start in range(0, len(index), rows):
+        chunk = index[start : start + rows]
+        # (rows, J, J, D, D): tile [c, p, q] couples blocks chunk[c, p] and chunk[c, q];
+        # the comprehension frees each chunk before the next is gathered
+        which[start : start + rows] = [
+            groups.setdefault(clique_tiles.tobytes(), len(groups))
+            for clique_tiles in tiles[chunk[:, :, None], :, chunk[:, None, :], :]
+        ]
+    firsts = np.unique(which, return_index=True)[1]
+    return which, [cov.submatrix(index[c]) for c in firsts]
+
+
 def _metrics(estimates: ChannelField, truth: ChannelField):
     per_block = np.mean((estimates.blocks - truth.blocks) ** 2, axis=(1, 2))
     mean_mse = float(np.mean(per_block))
@@ -354,10 +416,15 @@ def run_grid(
     The local operators depend on a clique's covariance submatrix only: the
     tiles of -(U_sub + sigma^2 I)^{-1}, the smoother (U_sub + sigma^2 I)^{-1}
     U_sub, and the refinement's residual scale and tiles are built once per
-    distinct submatrix (keyed by its content) and shared by its cliques; a
-    stationary lattice has two distinct edge and two distinct triplet
-    submatrices. Denoising and averaging are one stacked pass over all
-    cliques, bit for bit :func:`denoise_given_poses` clique by clique.
+    distinct submatrix and shared by its cliques; a stationary lattice has
+    two distinct edge and two distinct triplet submatrices. They are found
+    by one chunked tile-wise gather of every clique's D x D tiles, keyed by
+    content (so any SPD covariance, stationary or not, gets the right
+    ones), with one ``cov.submatrix`` call per distinct submatrix. Before
+    the gather, a clique that is not J integers or repeats a block raises
+    ``InvalidTripletError``, one naming a block outside the grid
+    ``CoverageError``. Denoising and averaging are one stacked pass over
+    all cliques, bit for bit :func:`denoise_given_poses` clique by clique.
 
     Metrics are computed against ``ground_truth`` (the true effective field)
     when given, otherwise left unavailable.
@@ -390,17 +457,9 @@ def run_grid(
     else:
         cliques = (build_triplet_tiling(grid) if tiling is None else tiling).triplets
     # (cliques, J): the blocks of each clique
-    index = np.array(cliques, dtype=int)
-    counts = np.bincount(index.ravel(), minlength=n)
-    if len(counts) != n or not counts.all():
-        raise CoverageError("the cliques leave a block uncovered or name one outside this grid")
+    index, counts = _clique_index(cliques, 2 if method == "pairwise" else 3, n)
     # one covariance submatrix per distinct content; each clique holds the index of its own
-    distinct = {}
-    which = np.array([
-        distinct.setdefault(sub.tobytes(), (len(distinct), sub))[0]
-        for sub in map(cov.submatrix, index)
-    ])
-    subs = [sub for _, sub in distinct.values()]
+    which, subs = _distinct_covariances(cov, index)
 
     def local_operator(sub, scale):
         # the pair's cross tile or the triplet's named tiles of -(U_sub + scale^2 I)^{-1}

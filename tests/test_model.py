@@ -197,6 +197,15 @@ def test_subslice_rejects_duplicates(default_cov):
         default_cov.submatrix((0, 0, 1))
 
 
+def test_block_tiles_is_a_view_of_the_matrix(default_cov):
+    n, d = default_cov.n_blocks, default_cov.block_size
+    for cov in (default_cov, RowCovariance(np.asfortranarray(default_cov.matrix), d)):
+        tiles = cov.block_tiles()
+        assert tiles.shape == (n, d, n, d)
+        assert np.shares_memory(tiles, cov.matrix)
+        assert np.array_equal(tiles[1, :, 6, :], cov.submatrix((1, 6))[:d, d:])
+
+
 def test_subslice_random_triples_are_spd(default_cov, rng):
     for _ in range(10):
         triple = rng.choice(default_cov.n_blocks, size=3, replace=False)

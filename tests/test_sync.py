@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mra_sync import (
     ChannelField,
     CoverageError,
     GridSpec,
+    InvalidTripletError,
     KernelSpec,
     RowCovariance,
     SolverError,
@@ -31,6 +33,7 @@ from mra_sync import (
     split_triplet_tiles,
     triplet_objective,
 )
+from mra_sync.graph import TripletTiling
 
 
 def rot2(theta):
@@ -331,6 +334,45 @@ def test_run_grid_coverage_error(default_grid, default_cov):
         run_grid("sync_base", obs, default_cov, default_grid, tiling=tiling)
 
 
+def test_run_grid_rejects_malformed_cliques_before_gathering(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("covariance gathered before the cliques were checked")
+
+    grid = GridSpec(2, 2, 2, 2, 2)
+    cov = build_row_covariance(grid, KernelSpec(3.0))
+    obs, _, _, _ = make_instance(grid, cov, 10.0, 0)
+    monkeypatch.setattr(RowCovariance, "block_tiles", no_work)
+    monkeypatch.setattr(RowCovariance, "submatrix", no_work)
+    cases = (
+        # a negative index would wrap silently in a fancy index
+        (((0, 1, 2), (1, 2, 3), (-1, 0, 1)), CoverageError, r"\[-1, 0, 1\] names a block outside"),
+        (((0, 1, 2), (1, 2, 4)), CoverageError, r"\[1, 2, 4\] names a block outside"),
+        # a float index would be truncated to (1, 2, 3)
+        (((0, 1, 2), (1, 2, 3.5)), InvalidTripletError, r"\(1, 2, 3\.5\) is not 3 integer"),
+        (((0, 1, 2), (1, 3)), InvalidTripletError, r"\(1, 3\) is not 3 integer"),
+        (((0, 0, 3), (1, 2, 3)), InvalidTripletError, r"duplicate block indices in \[0, 0, 3\]$"),
+    )
+    for triplets, error, message in cases:
+        with pytest.raises(error, match=message):
+            run_grid("sync_base", obs, cov, grid, tiling=TripletTiling(triplets))
+
+
+def test_run_grid_gathers_clique_covariances_in_small_chunks():
+    # 242 triplets of 36 x 36 submatrices: one unchunked gather would take 2.4 MiB
+    grid = GridSpec(12, 12, 3, 4, 2)
+    cov = build_row_covariance(grid, KernelSpec(5.0))
+    obs, _, _, _ = make_instance(grid, cov, 10.0, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_grid("sync_base", obs, cov, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one gather chunk of at most 1 MiB, plus under 256 KiB of everything else
+    assert peak - before < 2**20 + 2**18
+
+
 def test_run_grid_rejects_unknown_method(default_grid, default_cov):
     obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 0)
     with pytest.raises(ValueError):
@@ -440,6 +482,7 @@ def test_run_grid_rejects_mismatched_shapes(default_grid, default_cov, monkeypat
     for name in ("negated_noisy_inverse", "_smoother", "_noisy_cholesky"):
         monkeypatch.setattr(sync_module, name, no_work)
     monkeypatch.setattr(RowCovariance, "submatrix", no_work)
+    monkeypatch.setattr(RowCovariance, "block_tiles", no_work)
     obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 0)
     wide_obs, _, _, _ = make_instance(GridSpec(6, 6, 3, 4, 3), default_cov, 10.0, 0)
     small_cells = build_row_covariance(GridSpec(6, 6, 2, 3, 2), KernelSpec(5.0))
@@ -515,10 +558,10 @@ def test_run_grid_iterative_denoises_each_triplet_twice(default_grid, default_co
 def test_run_grid_builds_operators_once_per_clique_covariance(
     default_grid, default_cov, monkeypatch
 ):
-    calls = {"negated_noisy_inverse": 0, "residual_noise_sigma": 0}
+    calls = {"negated_noisy_inverse": 0, "residual_noise_sigma": 0, "submatrix": 0}
 
-    def counting(name):
-        original = getattr(sync_module, name)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
@@ -526,15 +569,19 @@ def test_run_grid_builds_operators_once_per_clique_covariance(
 
         return counted
 
-    for name in calls:
-        monkeypatch.setattr(sync_module, name, counting(name))
+    for owner, name in (
+        (sync_module, "negated_noisy_inverse"),
+        (sync_module, "residual_noise_sigma"),
+        (RowCovariance, "submatrix"),
+    ):
+        monkeypatch.setattr(owner, name, counting(owner, name))
     obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 7)
     # 60 edges and 50 triplets, but two distinct edge and two distinct
     # triplet covariances on a stationary lattice
     expected = {
-        "pairwise": {"negated_noisy_inverse": 2, "residual_noise_sigma": 0},
-        "sync_base": {"negated_noisy_inverse": 2, "residual_noise_sigma": 0},
-        "iterative": {"negated_noisy_inverse": 4, "residual_noise_sigma": 2},
+        "pairwise": {"negated_noisy_inverse": 2, "residual_noise_sigma": 0, "submatrix": 2},
+        "sync_base": {"negated_noisy_inverse": 2, "residual_noise_sigma": 0, "submatrix": 2},
+        "iterative": {"negated_noisy_inverse": 4, "residual_noise_sigma": 2, "submatrix": 2},
     }
     for method, counts in expected.items():
         for name in calls:
@@ -571,6 +618,8 @@ def per_clique_reference(method, obs, cov, grid):
 
 def test_run_grid_shared_operators_match_per_clique_loop(default_grid, default_cov):
     strip = GridSpec(1, 7, 3, 4, 3)
+    d_cells = default_grid.block_cells
+    scale = np.linspace(0.5, 2.0, default_cov.size)
     cases = [
         (default_grid, default_cov, 0.0, 2),
         (default_grid, default_cov, 10.0, 7),
@@ -578,6 +627,8 @@ def test_run_grid_shared_operators_match_per_clique_loop(default_grid, default_c
         # d = 4 at high SNR, where U + sigma^2 I is ill-conditioned
         (GridSpec(6, 6, 3, 4, 4), default_cov, 70.0, 5),
         (strip, build_row_covariance(strip, KernelSpec(5.0)), 10.0, 6),
+        # non-stationary: cliques with the same block offsets have different submatrices
+        (default_grid, RowCovariance(scale[:, None] * default_cov.matrix * scale, d_cells), 10.0, 9),
     ]
     for grid, cov, snr_db, seed in cases:
         obs, _, _, _ = make_instance(grid, cov, snr_db, seed)
