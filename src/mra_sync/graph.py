@@ -8,11 +8,12 @@ cycles on the mesh.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridSpec, PoseSet
+from .model import GridSpec, PoseSet, _is_index_type
 from .procrustes import Rotation, relative_pose
 
 __all__ = [
@@ -102,44 +103,47 @@ class RelativePoseGraph:
     """Undirected graph whose edges carry relative rotations.
 
     Edges are stored once per unordered pair; querying the reversed direction
-    returns the transpose.
+    returns the transpose. ``dim`` is the rotations' size, and one symmetric
+    CSR adjacency gives the connectivity check, the sorted neighbors and the
+    spanning tree of :func:`reconstruct_poses`.
     """
 
     def __init__(self, n_nodes: int, edges: dict, triangles=()):
+        # imported here: at module level scipy.sparse would add 3-5 MB to every `import mra_sync`
+        from scipy.sparse import csgraph, csr_array
+
         self.n_nodes = n_nodes
         self._edges = {}
-        self._adjacency = {i: set() for i in range(n_nodes)}
         for (i, j), rot in edges.items():
+            if not all(_is_index_type(type(v)) and 0 <= v < n_nodes for v in (i, j)):
+                raise ValueError(f"edge {(i, j)}: an endpoint is not an integer in [0, {n_nodes})")
             if i == j:
                 raise ValueError("self-loops are not allowed")
             a, b = min(i, j), max(i, j)
+            if (a, b) in self._edges:
+                raise ValueError(f"edge {(i, j)} is given in both directions")
             m = rot.matrix if isinstance(rot, Rotation) else np.asarray(rot, float)
             self._edges[(a, b)] = m if (a, b) == (i, j) else m.T
-            self._adjacency[a].add(b)
-            self._adjacency[b].add(a)
+        if not self._edges:
+            raise ValueError("relative-pose graph needs at least one edge")
+        self.dim = next(iter(self._edges.values())).shape[0]
         self.triangles = tuple(tuple(sorted(t)) for t in triangles)
-        if not self._connected():
+        pairs = np.array(list(self._edges))
+        both = np.r_[pairs, pairs[:, ::-1]]  # every edge in both directions
+        self._csr = csr_array((np.ones(len(both)), tuple(both.T)), shape=(n_nodes, n_nodes))
+        self._csr.sort_indices()
+        if csgraph.connected_components(self._csr, return_labels=False) != 1:
             raise ValueError("relative-pose graph must be connected")
-
-    def _connected(self) -> bool:
-        if self.n_nodes == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self._adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n_nodes
 
     @property
     def edges(self):
         return dict(self._edges)
 
     def neighbors(self, node: int) -> list:
-        return sorted(self._adjacency[node])
+        if not (_is_index_type(type(node)) and 0 <= node < self.n_nodes):
+            raise KeyError(f"no node {node!r}")
+        start, stop = self._csr.indptr[node : node + 2]
+        return self._csr.indices[start:stop].tolist()
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self._edges
@@ -189,11 +193,10 @@ def cycle_defect(graph: RelativePoseGraph, cycle) -> float:
             steps.pop()
         else:
             steps.append((a, b))
-    d = next(iter(graph.edges.values())).shape[0] if graph.edges else 0
-    prod = np.eye(d)
+    prod = np.eye(graph.dim)
     for a, b in steps:
         prod = prod @ graph.rotation(a, b)
-    return float(np.linalg.norm(prod - np.eye(d)))
+    return float(np.linalg.norm(prod - np.eye(graph.dim)))
 
 
 def _sample_simple_cycle(graph: RelativePoseGraph, rng, max_len: int = 20):
@@ -241,7 +244,12 @@ def verify_triangle_sufficiency(
     Triangle defects must stay below ``tol``; sampled cycles get a budget of
     ``tol`` per edge. On a consistent graph both checks pass; a single broken
     edge shows up in the triangle list, which the report names.
+    ``n_random_cycles=0`` checks the triangles only.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if not isinstance(n_random_cycles, numbers.Integral) or n_random_cycles < 0:
+        raise ValueError(f"n_random_cycles must be an integer >= 0, got {n_random_cycles!r}")
     rng = np.random.default_rng(rng)
     worst_tri, worst_tri_defect = (), -1.0
     failing = []
@@ -282,18 +290,20 @@ def verify_triangle_sufficiency(
 
 
 def reconstruct_poses(graph: RelativePoseGraph, anchor: int = 0) -> list:
-    """Chain edge rotations along a spanning tree, anchoring the first pose at I.
+    """Chain edge rotations along a breadth-first spanning tree, anchoring pose ``anchor`` at I.
 
     On a cycle-consistent graph the result equals the generating absolute
     poses up to one global rotation applied on the left.
     """
+    # imported here for the reason given in RelativePoseGraph
+    from scipy.sparse.csgraph import breadth_first_order
+
+    if not (_is_index_type(type(anchor)) and 0 <= anchor < graph.n_nodes):
+        raise ValueError(f"anchor {anchor!r} is not a node of the graph")
+    order, parent = breadth_first_order(graph._csr, anchor)
     poses = [None] * graph.n_nodes
-    poses[anchor] = np.eye(next(iter(graph.edges.values())).shape[0])
-    stack = [anchor]
-    while stack:
-        u = stack.pop()
-        for v in graph.neighbors(u):
-            if poses[v] is None:
-                poses[v] = poses[u] @ graph.rotation(u, v)
-                stack.append(v)
+    poses[anchor] = np.eye(graph.dim)
+    for v in order[1:].tolist():
+        u = int(parent[v])
+        poses[v] = poses[u] @ graph.rotation(u, v)
     return poses

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -69,7 +70,37 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class InvalidTripletError(ValueError):
-    """Block triple with duplicate or out-of-range indices."""
+    """Block triple with duplicate, non-integer or out-of-range indices."""
+
+
+def _is_index_type(kind: type) -> bool:
+    """Whether values of type ``kind`` can name a block or node: integers, but not bools."""
+    return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
+def _block_index(cliques, size: int) -> np.ndarray:
+    """``cliques`` as a (C, size) int array; the caller checks that the indices lie in range.
+
+    A clique of another length, with a float or bool index, or with a
+    repeated block raises :class:`InvalidTripletError` naming it.
+    """
+    try:
+        index = np.array(cliques)
+    except ValueError:  # cliques of different lengths
+        index = np.array(())
+    # np.array reads (True, 2) as ints and (1, 2.0) as floats: check the entries' own types
+    if index.shape[1:] != (size,) or not all(
+        map(_is_index_type, set(map(type, chain.from_iterable(cliques))))
+    ):
+        for clique in cliques:
+            if np.shape(clique) != (size,) or not all(_is_index_type(type(b)) for b in clique):
+                raise InvalidTripletError(f"clique {clique!r} is not {size} integer block indices")
+    index = index.astype(int, copy=False).reshape(-1, size)
+    ordered = np.sort(index, axis=1)
+    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeated.any():
+        raise InvalidTripletError(f"duplicate block indices in {index[repeated][0].tolist()}")
+    return index
 
 
 def _max_asymmetry(matrix: np.ndarray) -> float:
@@ -233,12 +264,10 @@ class RowCovariance:
 
     def submatrix(self, blocks: Sequence[int]) -> np.ndarray:
         """Principal submatrix at the given block indices, in the given order."""
-        blocks = list(blocks)
-        if len(set(blocks)) != len(blocks):
-            raise InvalidTripletError(f"duplicate block indices in {blocks}")
-        for b in blocks:
-            if not 0 <= b < self.n_blocks:
-                raise InvalidTripletError(f"block index {b} out of range")
+        blocks = _block_index([blocks], len(blocks))[0]
+        outside = (blocks < 0) | (blocks >= self.n_blocks)
+        if outside.any():
+            raise InvalidTripletError(f"block index {blocks[outside][0]} out of range")
         d = self.block_size
         idx = np.concatenate([np.arange(b * d, (b + 1) * d) for b in blocks])
         return self.matrix[np.ix_(idx, idx)]

@@ -20,9 +20,9 @@ from .model import (
     ChannelField,
     CovarianceTiles,
     GridSpec,
-    InvalidTripletError,
     ObservationSet,
     RowCovariance,
+    _block_index,
     split_triplet_tiles,
 )
 from .oracle import mmse_error_covariance
@@ -322,25 +322,13 @@ def _clique_index(cliques, size: int, n_blocks: int):
     :class:`InvalidTripletError`; one that names a block outside the grid, or
     cliques that leave a block uncovered, raise :class:`CoverageError`.
     """
-    try:
-        index = np.array(cliques)
-    except ValueError:  # cliques of different lengths
-        index = np.array(())
-    if index.shape[1:] != (size,) or index.dtype.kind != "i":
-        for clique in cliques:
-            if np.shape(clique) != (size,) or np.asarray(clique).dtype.kind not in "iu":
-                raise InvalidTripletError(f"clique {clique!r} is not {size} integer block indices")
-        index = np.array(cliques, dtype=int).reshape(-1, size)
+    index = _block_index(cliques, size)
     outside = ((index < 0) | (index >= n_blocks)).any(axis=1)
     if outside.any():
         raise CoverageError(f"clique {index[outside][0].tolist()} names a block outside this grid")
     counts = np.bincount(index.ravel(), minlength=n_blocks)
     if not counts.all():
         raise CoverageError("the cliques leave a block uncovered")
-    ordered = np.sort(index, axis=1)
-    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    if repeated.any():
-        raise InvalidTripletError(f"duplicate block indices in {index[repeated][0].tolist()}")
     return index, counts
 
 

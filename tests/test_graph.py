@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,3 +224,63 @@ def test_reversed_edge_lookup_is_transpose(rng):
     g, _ = pose_graph(2, 3, d=3)
     for i, j in list(g.edges)[:4]:
         assert np.array_equal(g.rotation(j, i), g.rotation(i, j).T)
+
+
+def test_verify_pins_sampled_cycles():
+    # the walk picks from neighbors() by position, so this pins their sorted order
+    g, _ = pose_graph(6, 6, seed=3)
+    report = verify_triangle_sufficiency(g, np.random.default_rng(0), 100, 1e-8)
+    assert report.worst_cycle == (4, 3, 10, 11, 5, 4)
+    assert report.worst_triangle == (2, 3, 9)
+    assert report.n_cycles_checked == 100
+
+
+def test_verify_rejects_bad_arguments():
+    g, _ = pose_graph(3, 3)
+    for tol in (math.nan, math.inf, 0.0, -1e-8):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            verify_triangle_sufficiency(g, np.random.default_rng(0), 10, tol)
+    for count in (-3, 2.5, None):
+        with pytest.raises(ValueError, match="n_random_cycles must be an integer"):
+            verify_triangle_sufficiency(g, np.random.default_rng(0), count, 1e-8)
+
+
+def test_reconstruct_poses_from_another_anchor():
+    g, poses = pose_graph(4, 5, d=3, seed=8)
+    rebuilt = reconstruct_poses(g, anchor=13)
+    assert np.array_equal(rebuilt[13], np.eye(3))
+    t = poses.poses[13]
+    for original, got in zip(poses.poses, rebuilt):
+        assert np.linalg.norm(t @ got - original) < 1e-8
+    for anchor in (-1, 20, 1.0):
+        with pytest.raises(ValueError, match="is not a node"):
+            reconstruct_poses(g, anchor=anchor)
+
+
+def test_graph_rejects_bad_edges():
+    for edge in ((0, 5), (0, -1), (0, 1.5), (True, 0)):
+        with pytest.raises(ValueError, match=r"an endpoint is not an integer in \[0, 2\)"):
+            RelativePoseGraph(2, {edge: np.eye(2)})
+    with pytest.raises(ValueError, match=r"\(1, 0\) is given in both directions"):
+        RelativePoseGraph(2, {(0, 1): np.eye(2), (1, 0): rot2(0.3)})
+    with pytest.raises(ValueError, match="needs at least one edge"):
+        RelativePoseGraph(1, {})
+
+
+def test_graph_takes_numpy_integer_nodes_only():
+    i, j = np.int64(0), np.int32(1)
+    g = RelativePoseGraph(2, {(j, i): rot2(0.3)})
+    assert np.array_equal(g.rotation(0, 1), rot2(0.3).T)
+    assert g.neighbors(0) == [1]
+    for node in (-1, 2, 1.0):
+        with pytest.raises(KeyError, match="no node"):
+            g.neighbors(node)
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # the pose graph imports scipy.sparse lazily; an eager import raises every run's peak RSS
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, mra_sync; sys.exit('scipy.sparse' in sys.modules)"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

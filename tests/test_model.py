@@ -197,6 +197,24 @@ def test_subslice_rejects_duplicates(default_cov):
         default_cov.submatrix((0, 0, 1))
 
 
+def test_subslice_rejects_float_bool_and_outside_indices(default_cov):
+    # numpy's own indexing raises a bare IndexError for floats and reads True as block 1
+    for blocks in ((0, 1.5), (0, 1.0), (0, np.float64(1)), (True, 0), (0, np.bool_(True))):
+        with pytest.raises(InvalidTripletError, match="is not 2 integer block indices"):
+            default_cov.submatrix(blocks)
+    for blocks in ((0, default_cov.n_blocks), (-1, 0)):
+        with pytest.raises(InvalidTripletError, match="out of range"):
+            default_cov.submatrix(blocks)
+
+
+def test_subslice_accepts_numpy_integer_indices(default_cov, rng):
+    expected = default_cov.submatrix((4, 1, 6))
+    for blocks in (np.array([4, 1, 6]), (np.int32(4), np.uint8(1), np.int64(6))):
+        assert np.array_equal(default_cov.submatrix(blocks), expected)
+    triple = rng.choice(default_cov.n_blocks, size=3, replace=False)
+    assert np.array_equal(default_cov.submatrix(triple), default_cov.submatrix(triple.tolist()))
+
+
 def test_block_tiles_is_a_view_of_the_matrix(default_cov):
     n, d = default_cov.n_blocks, default_cov.block_size
     for cov in (default_cov, RowCovariance(np.asfortranarray(default_cov.matrix), d)):

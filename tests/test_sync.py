@@ -357,6 +357,20 @@ def test_run_grid_rejects_malformed_cliques_before_gathering(monkeypatch):
             run_grid("sync_base", obs, cov, grid, tiling=TripletTiling(triplets))
 
 
+def test_run_grid_rejects_bool_block_indices():
+    # np.array reads (True, 2, 3) as the ints (1, 2, 3)
+    grid = GridSpec(2, 2, 2, 2, 2)
+    cov = build_row_covariance(grid, KernelSpec(3.0))
+    obs, _, _, _ = make_instance(grid, cov, 10.0, 0)
+    tiling = TripletTiling(((0, 1, 2), (True, 2, 3)))
+    with pytest.raises(InvalidTripletError, match=r"\(True, 2, 3\) is not 3 integer"):
+        run_grid("sync_base", obs, cov, grid, tiling=tiling)
+    numpy_tiling = TripletTiling(tuple(np.array([(0, 1, 2), (1, 2, 3)])))
+    expected = run_grid("sync_base", obs, cov, grid, tiling=TripletTiling(((0, 1, 2), (1, 2, 3))))
+    got = run_grid("sync_base", obs, cov, grid, tiling=numpy_tiling)
+    assert np.array_equal(got.estimates.blocks, expected.estimates.blocks)
+
+
 def test_run_grid_gathers_clique_covariances_in_small_chunks():
     # 242 triplets of 36 x 36 submatrices: one unchunked gather would take 2.4 MiB
     grid = GridSpec(12, 12, 3, 4, 2)
