@@ -10,7 +10,6 @@ as extra rows with seed -1.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, fields, replace
@@ -27,6 +26,7 @@ from .model import (
     observe,
     sample_channel,
     sample_pose_set,
+    _count,
 )
 from .oracle import ideal_sync_mse_db, single_channel_mse_db
 from .sync import DEFAULT_REFINEMENT_ITERS, METHODS, SolverError, run_grid
@@ -82,8 +82,7 @@ class ExperimentConfig:
     output_path: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.seeds, numbers.Integral) or self.seeds < 1:
-            raise ConfigError(f"seeds must be an integer >= 1, got {self.seeds!r}")
+        _count(self.seeds, "seeds", 1, ConfigError)
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must be non-empty")
         snr_db_list = tuple(float(s) for s in self.snr_db_list)
@@ -98,10 +97,7 @@ class ExperimentConfig:
         repeated = [m for m, count in Counter(self.methods).items() if count > 1]
         if repeated:
             raise ConfigError(f"methods {repeated} are listed more than once")
-        if not isinstance(self.refinement_iters, numbers.Integral) or self.refinement_iters < 0:
-            raise ConfigError(
-                f"refinement_iters must be an integer >= 0, got {self.refinement_iters!r}"
-            )
+        _count(self.refinement_iters, "refinement_iters", 0, ConfigError)
         object.__setattr__(self, "snr_db_list", snr_db_list)
         object.__setattr__(self, "methods", tuple(self.methods))
 

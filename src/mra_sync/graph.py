@@ -8,13 +8,12 @@ cycles on the mesh.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridSpec, PoseSet, _is_index_type
-from .procrustes import Rotation, relative_pose
+from .model import GridSpec, PoseSet, _count, _is_index_type
+from .procrustes import _as_matrix, relative_pose
 
 __all__ = [
     "RelativePoseGraph",
@@ -103,15 +102,17 @@ class RelativePoseGraph:
     """Undirected graph whose edges carry relative rotations.
 
     Edges are stored once per unordered pair; querying the reversed direction
-    returns the transpose. ``dim`` is the rotations' size, and one symmetric
-    CSR adjacency gives the connectivity check, the sorted neighbors and the
-    spanning tree of :func:`reconstruct_poses`.
+    returns the transpose. Every edge must pass as a rotation of the first
+    edge's size ``dim``. One symmetric CSR adjacency gives the connectivity
+    check, the sorted neighbors and the spanning tree of
+    :func:`reconstruct_poses`.
     """
 
     def __init__(self, n_nodes: int, edges: dict, triangles=()):
         # imported here: at module level scipy.sparse would add 3-5 MB to every `import mra_sync`
         from scipy.sparse import csgraph, csr_array
 
+        _count(n_nodes, "n_nodes", 1)
         self.n_nodes = n_nodes
         self._edges = {}
         for (i, j), rot in edges.items():
@@ -122,11 +123,14 @@ class RelativePoseGraph:
             a, b = min(i, j), max(i, j)
             if (a, b) in self._edges:
                 raise ValueError(f"edge {(i, j)} is given in both directions")
-            m = rot.matrix if isinstance(rot, Rotation) else np.asarray(rot, float)
+            m = _as_matrix(rot, f"edge {(i, j)}")
             self._edges[(a, b)] = m if (a, b) == (i, j) else m.T
         if not self._edges:
             raise ValueError("relative-pose graph needs at least one edge")
         self.dim = next(iter(self._edges.values())).shape[0]
+        for edge, m in self._edges.items():
+            if len(m) != self.dim:
+                raise ValueError(f"edge {edge} is not {self.dim} x {self.dim} like the first edge")
         self.triangles = tuple(tuple(sorted(t)) for t in triangles)
         pairs = np.array(list(self._edges))
         both = np.r_[pairs, pairs[:, ::-1]]  # every edge in both directions
@@ -162,7 +166,7 @@ class RelativePoseGraph:
         key = (min(i, j), max(i, j))
         if key not in edges:
             raise KeyError(f"no edge between {i} and {j}")
-        m = rotation.matrix if isinstance(rotation, Rotation) else np.asarray(rotation)
+        m = _as_matrix(rotation, "rotation")
         edges[key] = m if i < j else m.T
         return RelativePoseGraph(self.n_nodes, edges, self.triangles)
 
@@ -248,8 +252,7 @@ def verify_triangle_sufficiency(
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if not isinstance(n_random_cycles, numbers.Integral) or n_random_cycles < 0:
-        raise ValueError(f"n_random_cycles must be an integer >= 0, got {n_random_cycles!r}")
+    _count(n_random_cycles, "n_random_cycles", 0)
     rng = np.random.default_rng(rng)
     worst_tri, worst_tri_defect = (), -1.0
     failing = []

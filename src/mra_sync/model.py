@@ -30,6 +30,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import cho_solve, lapack
 
+from .procrustes import ROTATION_TOL, _check_rotation
+
 __all__ = [
     "GridSpec",
     "KernelSpec",
@@ -50,7 +52,6 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-12
-ORTHOGONALITY_TOL = 1e-10
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -76,6 +77,12 @@ class InvalidTripletError(ValueError):
 def _is_index_type(kind: type) -> bool:
     """Whether values of type ``kind`` can name a block or node: integers, but not bools."""
     return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
+
+
+def _count(value, name: str, minimum: int, error: type = ValueError) -> None:
+    """Raise ``error`` naming ``name`` unless ``value`` is a non-bool integer >= ``minimum``."""
+    if not (_is_index_type(type(value)) and value >= minimum):
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _block_index(cliques, size: int) -> np.ndarray:
@@ -142,11 +149,9 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("height_blocks", "width_blocks", "block_rows", "block_cols"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.antennas, numbers.Integral) or self.antennas < 2:
-            raise ValueError("antennas must be an integer >= 2 (rotations are trivial below)")
+            _count(getattr(self, name), name, 1)
+        # rotations are trivial below d = 2
+        _count(self.antennas, "antennas", 2)
 
     @property
     def n_blocks(self) -> int:
@@ -220,7 +225,8 @@ class RowCovariance:
         m = np.ascontiguousarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("covariance must be a square matrix")
-        if self.block_size < 1 or m.shape[0] % self.block_size != 0:
+        _count(self.block_size, "block_size", 1)
+        if m.shape[0] % self.block_size != 0:
             raise ValueError("matrix size must be a multiple of block_size")
         scale = max(1.0, float(m.max()), float(-m.min()))
         # An inf entry makes scale inf and a NaN entry the asymmetry NaN: both fail.
@@ -394,13 +400,6 @@ class ChannelField:
         """All blocks stacked vertically into one (N*D) x d matrix."""
         return self.blocks.reshape(-1, self.blocks.shape[2])
 
-    @classmethod
-    def from_stacked(cls, stacked: np.ndarray, block_size: int) -> "ChannelField":
-        stacked = np.asarray(stacked, dtype=float)
-        if stacked.shape[0] % block_size != 0:
-            raise ValueError("stacked row count must be a multiple of block_size")
-        return cls(stacked.reshape(-1, block_size, *stacked.shape[1:]))
-
 
 @dataclass(frozen=True, eq=False)
 class PoseSet:
@@ -413,12 +412,12 @@ class PoseSet:
         poses = _matrix_stack(self.poses, "a pose set needs at least one pose", mixed)
         if poses.shape[1] != poses.shape[2]:
             raise ValueError(mixed)
-        # one stacked check covers every pose; NaN fails both comparisons
+        # the rule on the worst pose; max propagates NaN, which then fails it
         defect = np.swapaxes(poses, 1, 2) @ poses - np.eye(poses.shape[1])
-        if not np.all(np.linalg.norm(defect, axis=(1, 2)) < ORTHOGONALITY_TOL):
-            raise ValueError("pose is not orthogonal to 1e-10")
-        if not np.all(np.abs(np.linalg.det(poses) - 1.0) < ORTHOGONALITY_TOL):
-            raise ValueError("pose determinant is not +1")
+        gap = np.linalg.norm(defect, axis=(1, 2)).max()
+        # the det of a NaN pose warns, so it is taken only once the poses are orthogonal
+        det_error = np.abs(np.linalg.det(poses) - 1.0).max() if gap < ROTATION_TOL else np.nan
+        _check_rotation(gap, det_error, "pose")
         object.__setattr__(self, "poses", poses)
 
     @property
@@ -431,29 +430,15 @@ class PoseSet:
 
 
 @dataclass(frozen=True, eq=False)
-class ObservationSet:
-    """Noisy per-block observations as one (N, D, d) array, with the noise level used."""
+class ObservationSet(ChannelField):
+    """Noisy per-block observations: a :class:`ChannelField` with the noise level used."""
 
-    blocks: np.ndarray
     noise_sigma: float
 
     def __post_init__(self):
         if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be non-negative")
-        blocks = _matrix_stack(
-            self.blocks,
-            "an observation set needs at least one block",
-            "all observation blocks must be 2-D matrices of one common shape",
-        )
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def block_shape(self) -> tuple[int, int]:
-        return self.blocks.shape[1:]
+        super().__post_init__()
 
 
 def sample_channel(cov: RowCovariance, antennas: int, rng) -> ChannelField:
@@ -463,9 +448,10 @@ def sample_channel(cov: RowCovariance, antennas: int, rng) -> ChannelField:
     and i.i.d. standard-normal G, so every column is N(0, U). Deterministic
     for a given rng state.
     """
+    _count(antennas, "antennas", 1)
     rng = np.random.default_rng(rng)
     g = rng.standard_normal((cov.size, antennas))
-    return ChannelField.from_stacked(cov.cholesky() @ g, cov.block_size)
+    return ChannelField((cov.cholesky() @ g).reshape(cov.n_blocks, cov.block_size, antennas))
 
 
 def sample_pose_set(n_blocks: int, antennas: int, rng) -> PoseSet:
@@ -481,10 +467,8 @@ def sample_pose_set(n_blocks: int, antennas: int, rng) -> PoseSet:
     draw per pose in turn, so the poses and the generator state afterwards
     match a per-pose loop exactly; seeded results depend on this.
     """
-    if antennas < 2:
-        raise ValueError("antennas must be >= 2")
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be >= 1")
+    _count(n_blocks, "n_blocks", 1)
+    _count(antennas, "antennas", 2)
     rng = np.random.default_rng(rng)
     q, r = np.linalg.qr(rng.standard_normal((n_blocks, antennas, antennas)))
     sign = np.sign(np.diagonal(r, axis1=1, axis2=2))

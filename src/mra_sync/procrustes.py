@@ -44,11 +44,7 @@ class Rotation:
         else:
             gap = np.linalg.norm(m.T @ m - np.eye(m.shape[0]))
             det = np.linalg.det(m)
-        # written as not (x < tol) so that NaN and inf entries fail too
-        if not gap < ROTATION_TOL:
-            raise ValueError("matrix is not orthogonal to 1e-10")
-        if not abs(det - 1.0) < ROTATION_TOL:
-            raise ValueError("matrix determinant is not +1")
+        _check_rotation(gap, abs(det - 1.0), "matrix")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -57,10 +53,28 @@ class Rotation:
         return Rotation(self.matrix.T.copy(), self.degenerate)
 
 
-def _as_matrix(rotation_like) -> np.ndarray:
+def _check_rotation(gap: float, det_error: float, what: str) -> None:
+    """The one rotation rule: ||R^T R - I||_F and |det R - 1| both below ``ROTATION_TOL``.
+
+    Written as not (x < tol) so that NaN and inf fail too; ``what`` opens the message.
+    """
+    if not gap < ROTATION_TOL:
+        raise ValueError(f"{what} is not orthogonal to 1e-10")
+    if not det_error < ROTATION_TOL:
+        raise ValueError(f"{what} determinant is not +1")
+
+
+def _as_matrix(rotation_like, name: str) -> np.ndarray:
+    """The matrix of a :class:`Rotation`, or of any other input once it passes as one.
+
+    An input that fails raises :class:`Rotation`'s ValueError prefixed with ``name``.
+    """
     if isinstance(rotation_like, Rotation):
         return rotation_like.matrix
-    return np.asarray(rotation_like, dtype=float)
+    try:
+        return Rotation(rotation_like).matrix
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def procrustes_project(x: np.ndarray) -> Rotation:
@@ -163,8 +177,8 @@ def relative_pose(pose_i, pose_j) -> Rotation:
 
     Satisfies R_ij = R_ji^T and R_ii = I.
     """
-    pi = _as_matrix(pose_i)
-    pj = _as_matrix(pose_j)
+    pi = _as_matrix(pose_i, "pose_i")
+    pj = _as_matrix(pose_j, "pose_j")
     if pi.shape != pj.shape:
         raise ValueError("poses must share one dimension")
     return Rotation(pi.T @ pj)

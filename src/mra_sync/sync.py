@@ -9,7 +9,6 @@ matrices; channel denoising is one linear map of the stacked local system.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from .model import (
     ObservationSet,
     RowCovariance,
     _block_index,
+    _count,
     split_triplet_tiles,
 )
 from .oracle import mmse_error_covariance
@@ -168,7 +168,10 @@ def denoise_given_poses(blocks, rotations, cov_sub: np.ndarray, sigma: float):
         raise ValueError("sigma must be non-negative")
     if cov_sub.shape != (j * rows, j * rows):
         raise ValueError(f"covariance shape {cov_sub.shape} does not fit {j * rows} stacked rows")
-    rot = np.array([_as_matrix(r) for r in rotations], dtype=float).reshape(1, j - 1, d, d)
+    rot = [_as_matrix(r, "rotations") for r in rotations]
+    if any(r.shape != (d, d) for r in rot):
+        raise ValueError(f"rotations must be {d} x {d} to act on {rows} x {d} blocks")
+    rot = np.array(rot).reshape(1, j - 1, d, d)
     smoother, index = [_smoother(cov_sub, sigma)], np.arange(j)[None]
     return list(_denoise_average(blocks, index, rot, smoother, np.zeros(1, int), np.ones(j)))
 
@@ -188,8 +191,8 @@ def estimate_pair(b1: np.ndarray, b2: np.ndarray, ua: np.ndarray) -> Rotation:
 
 def triplet_objective(b1, b2, b3, tiles: CovarianceTiles, r12, r13) -> float:
     """The three-term Frobenius objective the triplet alternation maximizes."""
-    r21 = _as_matrix(r12).T
-    r31 = _as_matrix(r13).T
+    r21 = _as_matrix(r12, "r12").T
+    r31 = _as_matrix(r13, "r13").T
     b1 = np.asarray(b1, float)
     b2 = np.asarray(b2, float)
     b3 = np.asarray(b3, float)
@@ -222,8 +225,7 @@ def estimate_triplet_direct(
     (r12, r13) pair; otherwise R_12 starts from the pairwise estimate of the
     first two blocks.
     """
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
+    _count(max_sweeps, "max_sweeps", 1)
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     b3 = np.asarray(b3, dtype=float)
@@ -235,8 +237,8 @@ def estimate_triplet_direct(
         r31 = None
     else:
         r12_init, r13_init = init
-        r21 = _as_matrix(r12_init).T
-        r31 = _as_matrix(r13_init).T
+        r21 = _as_matrix(r12_init, "init r12").T
+        r31 = _as_matrix(r13_init, "init r13").T
 
     trace = []
     converged = False
@@ -419,8 +421,7 @@ def run_grid(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if not isinstance(refinement_iters, numbers.Integral) or refinement_iters < 0:
-        raise ValueError(f"refinement_iters must be an integer >= 0, got {refinement_iters!r}")
+    _count(refinement_iters, "refinement_iters", 0)
     n = grid.n_blocks
     d_cells = grid.block_cells
     shapes = [

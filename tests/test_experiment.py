@@ -180,7 +180,7 @@ def test_config_rejects_repeated_method():
 
 def test_config_rejects_non_integer_counts():
     for field in ("seeds", "refinement_iters"):
-        for value in (2.5, 2.0, "3", math.nan):
+        for value in (2.5, 2.0, "3", math.nan, True):
             with pytest.raises(ConfigError, match=f"{field} must be an integer"):
                 tiny_config(**{field: value})
     assert tiny_config(seeds=np.int64(2), refinement_iters=np.int64(0)).seeds == 2

@@ -240,7 +240,7 @@ def test_verify_rejects_bad_arguments():
     for tol in (math.nan, math.inf, 0.0, -1e-8):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             verify_triangle_sufficiency(g, np.random.default_rng(0), 10, tol)
-    for count in (-3, 2.5, None):
+    for count in (-3, 2.5, None, True):
         with pytest.raises(ValueError, match="n_random_cycles must be an integer"):
             verify_triangle_sufficiency(g, np.random.default_rng(0), count, 1e-8)
 
@@ -265,6 +265,20 @@ def test_graph_rejects_bad_edges():
         RelativePoseGraph(2, {(0, 1): np.eye(2), (1, 0): rot2(0.3)})
     with pytest.raises(ValueError, match="needs at least one edge"):
         RelativePoseGraph(1, {})
+    for n_nodes in (2.5, 2.0, True, 0):
+        with pytest.raises(ValueError, match="n_nodes must be an integer >= 1"):
+            RelativePoseGraph(n_nodes, {(0, 1): np.eye(2)})
+    with pytest.raises(ValueError, match=r"edge \(1, 0\): matrix is not orthogonal"):
+        RelativePoseGraph(2, {(1, 0): 2 * np.eye(2)})
+    with pytest.raises(ValueError, match=r"edge \(1, 2\) is not 2 x 2 like the first edge"):
+        RelativePoseGraph(3, {(0, 1): np.eye(2), (1, 2): np.eye(3), (0, 2): np.eye(2)})
+
+
+def test_replaced_rejects_a_non_rotation():
+    g = RelativePoseGraph(2, {(0, 1): rot2(0.3)})
+    with pytest.raises(ValueError, match="rotation: matrix is not orthogonal"):
+        g.replaced(1, 0, 2 * np.eye(2))
+    assert np.array_equal(g.replaced(1, 0, rot2(0.5)).rotation(0, 1), rot2(0.5).T)
 
 
 def test_graph_takes_numpy_integer_nodes_only():

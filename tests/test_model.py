@@ -74,7 +74,7 @@ def test_kernel_validation():
 
 
 def test_grid_requires_integer_sizes():
-    for sizes in ((2.5, 2, 2, 2, 2), (2, 2, math.nan, 2, 2), (2, 2, 2, 2, 2.0)):
+    for sizes in ((2.5, 2, 2, 2, 2), (2, 2, math.nan, 2, 2), (2, 2, 2, 2, 2.0), (True, 2, 2, 2, 2)):
         with pytest.raises(ValueError, match="integer"):
             GridSpec(*sizes)
     assert GridSpec(np.int64(2), 2, 2, 2, 2).n_blocks == 4
@@ -147,6 +147,13 @@ def test_covariance_rejects_non_finite():
     for bad in (np.full((2, 2), np.nan), np.diag([1.0, np.inf]), asymmetric_inf):
         with pytest.raises(ValueError, match="not finite"):
             RowCovariance(bad, 1)
+
+
+def test_covariance_rejects_non_integer_block_size():
+    for block_size in (2.0, True, 0):
+        with pytest.raises(ValueError, match="block_size must be an integer >= 1"):
+            RowCovariance(np.eye(4), block_size)
+    assert RowCovariance(np.eye(4), np.int64(2)).n_blocks == 2
 
 
 def test_covariance_rejects_indefinite():
@@ -247,6 +254,13 @@ def test_sample_channel_deterministic(default_cov):
     assert np.array_equal(a, b)
 
 
+def test_sample_channel_rejects_bad_antennas():
+    cov = RowCovariance(np.eye(4), 2)
+    for antennas in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="antennas must be an integer >= 1"):
+            sample_channel(cov, antennas, 0)
+
+
 def test_sample_channel_empirical_covariance():
     grid = GridSpec(1, 2, 1, 2, 2)
     cov = build_row_covariance(grid, KernelSpec(2.0))
@@ -295,7 +309,15 @@ def test_sample_pose_set_matches_per_pose_reference():
 def test_sample_pose_set_rejects_bad_sizes():
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    for n_blocks, antennas, message in ((0, 2, "n_blocks"), (-3, 2, "n_blocks"), (4, 1, "antennas")):
+    cases = (
+        (0, 2, "n_blocks"),
+        (-3, 2, "n_blocks"),
+        (4, 1, "antennas"),
+        (2.5, 2, "n_blocks"),
+        (True, 2, "n_blocks"),
+        (3, 2.0, "antennas"),
+    )
+    for n_blocks, antennas, message in cases:
         with pytest.raises(ValueError, match=message):
             sample_pose_set(n_blocks, antennas, rng)
     assert rng.bit_generator.state == state
@@ -359,6 +381,13 @@ def test_apply_precoding_identity_and_inverse(rng):
         assert np.abs(a - b).max() < 1e-12
     for a, b in zip(forward.blocks, channels.blocks):
         assert abs(np.linalg.norm(a) - np.linalg.norm(b)) < 1e-10
+
+
+def test_observations_are_a_channel_field(rng):
+    obs = observe(ChannelField(np.ones((3, 4, 2))), 0.5, rng)
+    assert isinstance(obs, ChannelField)
+    assert (obs.n_blocks, obs.block_shape, obs.noise_sigma) == (3, (4, 2), 0.5)
+    assert obs.stacked().shape == (12, 2)
 
 
 def test_observe_zero_noise_exact(rng):

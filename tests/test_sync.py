@@ -108,6 +108,16 @@ def test_denoise_rotation_count_mismatch(rng):
         denoise_given_poses([np.ones((2, 2))] * 3, [np.eye(2)], np.eye(6), 0.5)
 
 
+def test_denoise_rejects_non_rotations_and_wrong_sizes():
+    blocks = [np.ones((2, 2))] * 2
+    with pytest.raises(ValueError, match="rotations: matrix is not orthogonal"):
+        denoise_given_poses(blocks, [2 * np.eye(2)], np.eye(4), 0.5)
+    with pytest.raises(ValueError, match="rotations must be 2 x 2"):
+        denoise_given_poses(blocks, [np.eye(3)], np.eye(4), 0.5)
+    with pytest.raises(ValueError, match="rotations must be 2 x 2"):
+        denoise_given_poses([np.ones((2, 2))] * 3, [np.eye(2), np.eye(3)], np.eye(6), 0.5)
+
+
 def test_denoise_checks_covariance_size_before_zero_noise_shortcut():
     for sigma in (0.0, 0.5):
         with pytest.raises(ValueError, match="covariance"):
@@ -223,6 +233,20 @@ def test_triplet_r23_composition(default_grid, default_cov, rng):
     obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 3)
     est = estimate_triplet_direct(obs.blocks[0], obs.blocks[1], obs.blocks[6], tiles)
     assert np.allclose(est.r23().matrix, est.r12.matrix.T @ est.r13.matrix, atol=1e-12)
+
+
+def test_triplet_rejects_bad_sweep_counts_and_non_rotations(default_grid, default_cov):
+    obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 0)
+    blocks = obs.blocks[[0, 1, 7]]
+    tiles = split_triplet_tiles(negated_noisy_inverse(default_cov.submatrix((0, 1, 7)), 0.3), 12)
+    for max_sweeps in (True, 2.5, 0):
+        with pytest.raises(ValueError, match="max_sweeps must be an integer >= 1"):
+            estimate_triplet_direct(*blocks, tiles, max_sweeps=max_sweeps)
+    not_rotation = 2 * np.eye(2)
+    with pytest.raises(ValueError, match="init r12: matrix is not orthogonal"):
+        estimate_triplet_direct(*blocks, tiles, init=(not_rotation, np.eye(2)))
+    with pytest.raises(ValueError, match="r13: matrix is not orthogonal"):
+        triplet_objective(*blocks, tiles, np.eye(2), not_rotation)
 
 
 def test_triplet_warm_start_converges_immediately(default_grid, default_cov):
@@ -516,8 +540,11 @@ def test_run_grid_rejects_non_integer_refinement_iters(default_grid, default_cov
     obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 0)
     noiseless, _, _, _ = make_instance(default_grid, default_cov, math.inf, 0)
     for observations in (obs, noiseless):
-        with pytest.raises(ValueError, match="refinement_iters must be an integer"):
-            run_grid("iterative", observations, default_cov, default_grid, refinement_iters=1.5)
+        for value in (1.5, True):
+            with pytest.raises(ValueError, match="refinement_iters must be an integer"):
+                run_grid(
+                    "iterative", observations, default_cov, default_grid, refinement_iters=value
+                )
 
 
 def test_run_grid_rejects_mismatched_ground_truth(monkeypatch):
