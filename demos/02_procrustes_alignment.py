@@ -6,7 +6,7 @@ Run from the repository root:  PYTHONPATH=src python3 demos/02_procrustes_alignm
 
 import numpy as np
 
-from mra_sync import procrustes_project, relative_pose, sample_pose_set
+from mra_sync import procrustes_project, sample_pose_set
 
 rng = np.random.default_rng(1)
 
@@ -28,10 +28,7 @@ competitors = sample_pose_set(2000, 3, rng).poses
 scores = [np.sum(r * x) for r in competitors]
 print(f"projection score {best_score:.4f} vs best of 2000 random rotations {max(scores):.4f}")
 
-# relative poses compose like differences of absolute poses
+# relative poses R_ij = P_i^T P_j compose like differences of absolute poses
 p = sample_pose_set(3, 2, rng).poses
-r01 = relative_pose(p[0], p[1])
-r12 = relative_pose(p[1], p[2])
-r02 = relative_pose(p[0], p[2])
-print(f"composition defect |R01 R12 - R02| = "
-      f"{np.linalg.norm(r01.matrix @ r12.matrix - r02.matrix):.1e}")
+r01, r12, r02 = p[0].T @ p[1], p[1].T @ p[2], p[0].T @ p[2]
+print(f"composition defect |R01 R12 - R02| = {np.linalg.norm(r01 @ r12 - r02):.1e}")

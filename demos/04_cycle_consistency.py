@@ -1,5 +1,6 @@
-"""Pose graphs on the triangulated lattice: cycle defects, the
-triangles-imply-all-cycles check, and absolute-pose reconstruction.
+"""Pose graphs on the triangulated lattice: cycle defects, the exact
+triangle and spanning-tree check of every cycle, and absolute-pose
+reconstruction.
 
 Run from the repository root:  PYTHONPATH=src python3 demos/04_cycle_consistency.py
 """
@@ -26,15 +27,15 @@ graph = graph_from_poses(poses, edges, triangles)
 loop = [0, 1, 2, 8, 14, 13, 12, 6, 0]
 print(f"8-step loop defect on a consistent graph: {cycle_defect(graph, loop):.2e}")
 
-report = verify_triangle_sufficiency(graph, np.random.default_rng(0), n_random_cycles=100)
-print(f"triangle + sampled-cycle verification: passed={report.passed}, "
+report = verify_triangle_sufficiency(graph)
+print(f"triangle + spanning-tree verification: passed={report.passed}, "
       f"worst triangle {report.worst_triangle_defect:.2e}, "
-      f"worst of {report.n_cycles_checked} cycles {report.worst_cycle_defect:.2e}")
+      f"worst edge {report.worst_edge} {report.worst_edge_defect:.2e}")
 
 # break one edge and watch the triangles expose it
 bad = sample_pose_set(1, 2, np.random.default_rng(5)).poses[0]
 broken = graph.replaced(14, 15, bad)
-report_broken = verify_triangle_sufficiency(broken, np.random.default_rng(0), 50)
+report_broken = verify_triangle_sufficiency(broken)
 print(f"after corrupting edge (14, 15): passed={report_broken.passed}, "
       f"failing triangles {report_broken.failing_triangles}")
 

@@ -2,8 +2,8 @@
 
 Triangulates the lattice (4-neighbor edges plus one fixed diagonal per unit
 square), builds relative-pose graphs from absolute poses, measures cycle
-defects, and verifies that triangle consistency propagates to arbitrary
-cycles on the mesh.
+defects, and checks every cycle's consistency exactly through the triangles
+and a spanning tree.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridSpec, PoseSet, _count, _is_index_type
-from .procrustes import _as_matrix, relative_pose
+from .model import GridSpec, PoseSet, _block_index, _count, _is_index_type
+from .procrustes import _as_matrix
 
 __all__ = [
     "RelativePoseGraph",
@@ -103,9 +103,9 @@ class RelativePoseGraph:
 
     Edges are stored once per unordered pair; querying the reversed direction
     returns the transpose. Every edge must pass as a rotation of the first
-    edge's size ``dim``. One symmetric CSR adjacency gives the connectivity
-    check, the sorted neighbors and the spanning tree of
-    :func:`reconstruct_poses`.
+    edge's size ``dim``, and every side of every triangle must be an edge.
+    One symmetric CSR adjacency gives the connectivity check and the
+    spanning tree of :func:`reconstruct_poses`.
     """
 
     def __init__(self, n_nodes: int, edges: dict, triangles=()):
@@ -131,7 +131,10 @@ class RelativePoseGraph:
         for edge, m in self._edges.items():
             if len(m) != self.dim:
                 raise ValueError(f"edge {edge} is not {self.dim} x {self.dim} like the first edge")
-        self.triangles = tuple(tuple(sorted(t)) for t in triangles)
+        self.triangles = tuple(tuple(sorted(t)) for t in _block_index(triangles, 3).tolist())
+        for i, j, k in self.triangles:
+            if not (self.has_edge(i, j) and self.has_edge(j, k) and self.has_edge(i, k)):
+                raise ValueError(f"triangle {(i, j, k)}: a side is not an edge of the graph")
         pairs = np.array(list(self._edges))
         both = np.r_[pairs, pairs[:, ::-1]]  # every edge in both directions
         self._csr = csr_array((np.ones(len(both)), tuple(both.T)), shape=(n_nodes, n_nodes))
@@ -142,12 +145,6 @@ class RelativePoseGraph:
     @property
     def edges(self):
         return dict(self._edges)
-
-    def neighbors(self, node: int) -> list:
-        if not (_is_index_type(type(node)) and 0 <= node < self.n_nodes):
-            raise KeyError(f"no node {node!r}")
-        start, stop = self._csr.indptr[node : node + 2]
-        return self._csr.indices[start:stop].tolist()
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self._edges
@@ -173,10 +170,10 @@ class RelativePoseGraph:
 
 def graph_from_poses(poses: PoseSet, edges, triangles=()) -> RelativePoseGraph:
     """Attach the relative rotation P_i^T P_j to every edge (i, j)."""
-    carried = {
-        (i, j): relative_pose(poses.poses[i], poses.poses[j]) for i, j in edges
-    }
-    return RelativePoseGraph(poses.n_poses, carried, triangles)
+    edges = list(edges)
+    first, second = np.array(edges, dtype=int).reshape(-1, 2).T
+    carried = np.swapaxes(poses.poses[first], 1, 2) @ poses.poses[second]
+    return RelativePoseGraph(poses.n_poses, dict(zip(edges, carried)), triangles)
 
 
 def cycle_defect(graph: RelativePoseGraph, cycle) -> float:
@@ -187,6 +184,8 @@ def cycle_defect(graph: RelativePoseGraph, cycle) -> float:
     reports a defect of zero.
     """
     cycle = list(cycle)
+    if not all(_is_index_type(type(v)) and 0 <= v < graph.n_nodes for v in cycle):
+        raise InvalidCycleError(f"cycle {cycle}: a node is not an integer in [0, {graph.n_nodes})")
     if len(cycle) < 2 or cycle[0] != cycle[-1]:
         raise InvalidCycleError("cycle must be a closed sequence")
     steps = []
@@ -203,92 +202,49 @@ def cycle_defect(graph: RelativePoseGraph, cycle) -> float:
     return float(np.linalg.norm(prod - np.eye(graph.dim)))
 
 
-def _sample_simple_cycle(graph: RelativePoseGraph, rng, max_len: int = 20):
-    """One simple cycle from a random walk truncated at max_len steps.
-
-    Walks the graph avoiding immediate backtracking and closes the cycle at
-    the first node revisit; returns None when the walk dies out first.
-    """
-    start = int(rng.integers(graph.n_nodes))
-    path = [start]
-    index = {start: 0}
-    prev = None
-    for _ in range(max_len):
-        current = path[-1]
-        options = [v for v in graph.neighbors(current) if v != prev]
-        if not options:
-            return None
-        nxt = options[int(rng.integers(len(options)))]
-        if nxt in index:
-            return path[index[nxt] :] + [nxt]
-        index[nxt] = len(path)
-        path.append(nxt)
-        prev = current
-    return None
-
-
 @dataclass
 class TriangleSufficiencyReport:
-    """Outcome of checking triangle consistency and sampled longer cycles."""
+    """Outcome of checking every triangle and every edge against the spanning tree."""
 
     passed: bool
     worst_triangle: tuple
     worst_triangle_defect: float
     failing_triangles: tuple
-    worst_cycle: tuple
-    worst_cycle_defect: float
-    n_cycles_checked: int
+    worst_edge: tuple
+    worst_edge_defect: float
 
 
 def verify_triangle_sufficiency(
-    graph: RelativePoseGraph, rng, n_random_cycles: int = 100, tol: float = 1e-8
+    graph: RelativePoseGraph, tol: float = 1e-8
 ) -> TriangleSufficiencyReport:
-    """Check every triangle's defect, then spot-check random simple cycles.
+    """Check every triangle's defect, then every edge against the spanning tree's poses.
 
-    Triangle defects must stay below ``tol``; sampled cycles get a budget of
-    ``tol`` per edge. On a consistent graph both checks pass; a single broken
-    edge shows up in the triangle list, which the report names.
-    ``n_random_cycles=0`` checks the triangles only.
+    Edge (i, j) is compared with the poses P that :func:`reconstruct_poses`
+    chains: ||P_i R_ij - P_j||_F is the defect of the cycle the edge closes
+    with the tree. Those cycles generate all others, and a cycle's defect is
+    at most the sum of its edges', so edges below ``tol`` keep every cycle
+    of L edges below L * ``tol``. Triangles and edges must all stay below
+    ``tol``; the report names the failing triangles and the worst edge.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    _count(n_random_cycles, "n_random_cycles", 0)
-    rng = np.random.default_rng(rng)
-    worst_tri, worst_tri_defect = (), -1.0
-    failing = []
-    for tri in graph.triangles:
-        i, j, k = tri
-        defect = cycle_defect(graph, [i, j, k, i])
-        if defect > worst_tri_defect:
-            worst_tri, worst_tri_defect = tri, defect
-        if defect >= tol:
-            failing.append(tri)
-
-    worst_cycle, worst_cycle_defect = (), -1.0
-    checked = 0
-    cycles_ok = True
-    attempts = 0
-    while checked < n_random_cycles and attempts < 50 * max(1, n_random_cycles):
-        attempts += 1
-        cycle = _sample_simple_cycle(graph, rng)
-        if cycle is None:
-            continue
-        checked += 1
-        defect = cycle_defect(graph, cycle)
-        if defect > worst_cycle_defect:
-            worst_cycle, worst_cycle_defect = tuple(cycle), defect
-        if defect >= tol * (len(cycle) - 1):
-            cycles_ok = False
-
-    passed = not failing and cycles_ok
+    tri_defects = [cycle_defect(graph, [i, j, k, i]) for i, j, k in graph.triangles]
+    worst_tri_defect, worst_tri = max(
+        zip(tri_defects, graph.triangles), key=lambda pair: pair[0], default=(0.0, ())
+    )
+    poses = np.stack(reconstruct_poses(graph))
+    pairs = np.array(list(graph._edges))
+    closing = poses[pairs[:, 0]] @ np.stack(list(graph._edges.values())) - poses[pairs[:, 1]]
+    edge_defects = np.linalg.norm(closing, axis=(1, 2))
+    worst = int(np.argmax(edge_defects))
+    failing = tuple(t for t, defect in zip(graph.triangles, tri_defects) if defect >= tol)
     return TriangleSufficiencyReport(
-        passed=passed,
+        passed=not failing and bool(edge_defects[worst] < tol),
         worst_triangle=worst_tri,
-        worst_triangle_defect=max(worst_tri_defect, 0.0),
-        failing_triangles=tuple(failing),
-        worst_cycle=worst_cycle,
-        worst_cycle_defect=max(worst_cycle_defect, 0.0),
-        n_cycles_checked=checked,
+        worst_triangle_defect=worst_tri_defect,
+        failing_triangles=failing,
+        worst_edge=tuple(pairs[worst].tolist()),
+        worst_edge_defect=float(edge_defects[worst]),
     )
 
 

@@ -1,4 +1,4 @@
-"""Closed-form projection onto the rotation group and relative-pose helpers.
+"""Closed-form projection onto the rotation group.
 
 ``procrustes_project`` solves argmax_R <R, X>_F over SO(d) by stripping the
 singular values from an SVD of X and correcting the determinant on the
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Rotation", "procrustes_project", "relative_pose"]
+__all__ = ["Rotation", "procrustes_project"]
 
 ROTATION_TOL = 1e-10
 _DEGENERACY_RTOL = 1e-12
@@ -171,14 +171,3 @@ def _project_2x2(x00: float, x01: float, x10: float, x11: float) -> tuple:
     c, s = (cos_part / p, sin_part / p) if p > 0 else (1.0, 0.0)
     return np.array([[c, -s], [s, c]]), degenerate
 
-
-def relative_pose(pose_i, pose_j) -> Rotation:
-    """Relative rotation P_i^T P_j carrying frame i into frame j.
-
-    Satisfies R_ij = R_ji^T and R_ii = I.
-    """
-    pi = _as_matrix(pose_i, "pose_i")
-    pj = _as_matrix(pose_j, "pose_j")
-    if pi.shape != pj.shape:
-        raise ValueError("poses must share one dimension")
-    return Rotation(pi.T @ pj)

@@ -387,21 +387,20 @@ def run_grid(
     solve, observations, covariance or ``ground_truth`` shaped for another
     grid raise ``ValueError``, uncovered blocks ``CoverageError``.
 
-    ``iterative`` starts from the synchronization-base field. Each triplet
-    then re-estimates its rotations ``refinement_iters`` times, warm-started
-    from the previous estimate, against that fixed shared field, and
-    denoises its raw observations once under the final rotations. Each
-    round is one stacked alternation over all triplets on (T, d, d) arrays;
-    every triplet keeps the stopping rule of :func:`estimate_triplet_direct`,
-    and the output bits equal a per-triplet loop's. The direct stage still
-    solves clique by clique, until the benchmark counts per batch. Working
-    against the shared field lets overlapping triplets exchange information,
-    which a per-triplet loop cannot (its own denoised blocks inherit its
-    own rotation errors and just confirm them). refinement_iters = 0 falls
-    back to the synchronization base, as does noise at or above the unit
-    signal power (sigma >= 1), where the refresh measurably loses to the
-    direct estimate's noise-adapted rotations; a negative or non-integer
-    count raises ``ValueError``.
+    ``iterative`` starts from the synchronization-base field and forms the
+    triplets' coefficients once from it. Each of the ``refinement_iters``
+    rounds restarts one stacked alternation over all triplets on those fixed
+    coefficients, warm-started from the last rotations, and the raw blocks
+    are denoised once under the final ones. So k rounds act like one
+    alternation with a cap of 8k sweeps, and the gain over the
+    synchronization base comes from the extra sweeps against the denoised
+    field. Every triplet keeps the stopping rule of
+    :func:`estimate_triplet_direct`, bit for bit as a per-triplet loop; the
+    direct stage still solves clique by clique. refinement_iters = 0 falls
+    back to the synchronization base, as does sigma >= 1 (unit signal
+    power), where the refresh measurably loses to the direct estimate's
+    noise-adapted rotations; a negative or non-integer count raises
+    ``ValueError``.
 
     The local operators depend on a clique's covariance submatrix only: the
     tiles of -(U_sub + sigma^2 I)^{-1}, the smoother (U_sub + sigma^2 I)^{-1}

@@ -26,7 +26,6 @@ from mra_sync import (
     observe,
     procrustes_project,
     reconstruct_poses,
-    relative_pose,
     run_grid,
     run_sweep,
     sample_channel,
@@ -145,7 +144,7 @@ def test_criterion_4_mmse_cross_check():
     per_seed = []
     for seed in range(500):
         obs, effective, poses = default_instance(cov, grid, sigma, seed)
-        rotations = [relative_pose(poses.poses[j], poses.poses[0]) for j in range(1, 4)]
+        rotations = [poses.poses[j].T @ poses.poses[0] for j in range(1, 4)]
         den = denoise_given_poses(list(obs.blocks), rotations, cov.matrix, sigma)
         per_seed.append(np.mean([np.mean((d - h) ** 2) for d, h in zip(den, effective.blocks)]))
     mc = float(np.mean(per_seed))
@@ -180,14 +179,14 @@ def test_criterion_6_cycle_consistency():
     for seed in range(20):
         poses = sample_pose_set(grid.n_blocks, 2, np.random.default_rng(seed))
         g = graph_from_poses(poses, edges, triangles)
-        rep = verify_triangle_sufficiency(g, np.random.default_rng(seed), 100, 1e-8)
-        all_pass &= rep.passed and rep.n_cycles_checked == 100
+        rep = verify_triangle_sufficiency(g, 1e-8)
+        all_pass &= rep.passed and rep.worst_edge_defect < 1e-8
 
     poses = sample_pose_set(grid.n_blocks, 2, np.random.default_rng(99))
     g = graph_from_poses(poses, edges, triangles)
     bad = sample_pose_set(1, 2, np.random.default_rng(7)).poses[0]
     broken = g.replaced(7, 8, bad)
-    rep_broken = verify_triangle_sufficiency(broken, np.random.default_rng(0), 50, 1e-8)
+    rep_broken = verify_triangle_sufficiency(broken, 1e-8)
     detection = (
         not rep_broken.passed
         and len(rep_broken.failing_triangles) > 0

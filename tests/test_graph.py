@@ -10,12 +10,12 @@ import pytest
 from mra_sync import (
     GridSpec,
     InvalidCycleError,
+    InvalidTripletError,
     build_triplet_tiling,
     cycle_defect,
     graph_from_poses,
     lattice_edges,
     reconstruct_poses,
-    relative_pose,
     sample_pose_set,
     triangulate_grid,
     verify_triangle_sufficiency,
@@ -129,13 +129,17 @@ def test_cycle_defect_rejects_bad_cycles():
         cycle_defect(g, [0, 1, 2])  # not closed
     with pytest.raises(InvalidCycleError):
         cycle_defect(g, [1, 2, 1])  # 1-2 not adjacent in the 2x2 mesh
+    for node in (True, 1.0, -1, 4):
+        # a bool or a float must not be walked as the integer it equals
+        with pytest.raises(InvalidCycleError, match=r"a node is not an integer in \[0, 4\)"):
+            cycle_defect(g, [0, node, 3, 0])
 
 
 def test_verify_triangle_sufficiency_passes_on_pose_graph():
     g, _ = pose_graph(6, 6, seed=3)
-    report = verify_triangle_sufficiency(g, np.random.default_rng(0), 100, 1e-8)
+    report = verify_triangle_sufficiency(g, 1e-8)
     assert report.passed
-    assert report.n_cycles_checked == 100
+    assert report.worst_edge_defect < 1e-8
     assert report.worst_triangle_defect < 1e-8
 
 
@@ -143,17 +147,25 @@ def test_verify_names_broken_triangle():
     g, _ = pose_graph(4, 4, seed=1)
     bad = sample_pose_set(1, 2, np.random.default_rng(9)).poses[0]
     broken = g.replaced(1, 2, bad)
-    report = verify_triangle_sufficiency(broken, np.random.default_rng(0), 50, 1e-8)
+    report = verify_triangle_sufficiency(broken, 1e-8)
     assert not report.passed
     assert report.failing_triangles
     assert all(1 in t and 2 in t for t in report.failing_triangles)
 
 
-def test_verify_triangle_only_mode():
-    g, _ = pose_graph(3, 3)
-    report = verify_triangle_sufficiency(g, np.random.default_rng(0), 0, 1e-8)
-    assert report.passed
-    assert report.n_cycles_checked == 0
+def test_verify_catches_a_broken_cycle_no_triangle_covers():
+    # the 2x2 lattice without its diagonal: one 4-cycle and no triangles,
+    # so only the spanning-tree check can see the corrupted edge
+    grid = GridSpec(2, 2, 2, 2, 2)
+    poses = sample_pose_set(4, 2, np.random.default_rng(4))
+    g = graph_from_poses(poses, lattice_edges(grid))
+    clean = verify_triangle_sufficiency(g)
+    assert clean.passed and clean.worst_edge_defect < 1e-12
+    broken = verify_triangle_sufficiency(g.replaced(0, 1, g.rotation(0, 1) @ rot2(0.3)))
+    assert not broken.passed
+    assert broken.failing_triangles == () and broken.worst_triangle == ()
+    assert broken.worst_edge in lattice_edges(grid)
+    assert broken.worst_edge_defect == pytest.approx(2 * math.sqrt(2) * math.sin(0.15), rel=1e-9)
 
 
 def test_tiling_2x2():
@@ -186,6 +198,11 @@ def test_path_independence(rng):
             prod = prod @ g.rotation(a, b)
         return prod
 
+    adjacency = {v: [] for v in range(16)}
+    for i, j in g.edges:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+
     def random_path(start, goal, r):
         # random walk until goal, capped; fall back to retry
         for _ in range(200):
@@ -193,7 +210,7 @@ def test_path_independence(rng):
             for _ in range(40):
                 if path[-1] == goal:
                     return path
-                nbrs = g.neighbors(path[-1])
+                nbrs = adjacency[path[-1]]
                 path.append(int(nbrs[r.integers(len(nbrs))]))
             if path[-1] == goal:
                 return path
@@ -227,22 +244,17 @@ def test_reversed_edge_lookup_is_transpose(rng):
 
 
 def test_verify_pins_sampled_cycles():
-    # the walk picks from neighbors() by position, so this pins their sorted order
+    # the worst triangle depends on the last bits of the stacked relative rotations
     g, _ = pose_graph(6, 6, seed=3)
-    report = verify_triangle_sufficiency(g, np.random.default_rng(0), 100, 1e-8)
-    assert report.worst_cycle == (4, 3, 10, 11, 5, 4)
+    report = verify_triangle_sufficiency(g, 1e-8)
     assert report.worst_triangle == (2, 3, 9)
-    assert report.n_cycles_checked == 100
 
 
 def test_verify_rejects_bad_arguments():
     g, _ = pose_graph(3, 3)
     for tol in (math.nan, math.inf, 0.0, -1e-8):
         with pytest.raises(ValueError, match="tol must be positive and finite"):
-            verify_triangle_sufficiency(g, np.random.default_rng(0), 10, tol)
-    for count in (-3, 2.5, None, True):
-        with pytest.raises(ValueError, match="n_random_cycles must be an integer"):
-            verify_triangle_sufficiency(g, np.random.default_rng(0), count, 1e-8)
+            verify_triangle_sufficiency(g, tol)
 
 
 def test_reconstruct_poses_from_another_anchor():
@@ -272,6 +284,14 @@ def test_graph_rejects_bad_edges():
         RelativePoseGraph(2, {(1, 0): 2 * np.eye(2)})
     with pytest.raises(ValueError, match=r"edge \(1, 2\) is not 2 x 2 like the first edge"):
         RelativePoseGraph(3, {(0, 1): np.eye(2), (1, 2): np.eye(3), (0, 2): np.eye(2)})
+    # a triangle is three integer nodes whose sides are all edges
+    edges = {(0, 1): np.eye(2), (1, 2): np.eye(2), (0, 2): np.eye(2), (2, 3): np.eye(2)}
+    for triangle in ((0, 1), (0, 1, 2.0), (0, True, 2), (0, 1, 1)):
+        with pytest.raises(InvalidTripletError, match=r"clique .* is not 3 integer|duplicate"):
+            RelativePoseGraph(4, edges, [triangle])
+    with pytest.raises(ValueError, match=r"triangle \(0, 1, 3\): a side is not an edge"):
+        RelativePoseGraph(4, edges, [(3, 0, 1)])
+    assert RelativePoseGraph(4, edges, [(2, 0, 1)]).triangles == ((0, 1, 2),)
 
 
 def test_replaced_rejects_a_non_rotation():
@@ -285,10 +305,7 @@ def test_graph_takes_numpy_integer_nodes_only():
     i, j = np.int64(0), np.int32(1)
     g = RelativePoseGraph(2, {(j, i): rot2(0.3)})
     assert np.array_equal(g.rotation(0, 1), rot2(0.3).T)
-    assert g.neighbors(0) == [1]
-    for node in (-1, 2, 1.0):
-        with pytest.raises(KeyError, match="no node"):
-            g.neighbors(node)
+    assert cycle_defect(g, [i, j, np.int16(0)]) == 0.0
 
 
 def test_import_leaves_scipy_sparse_unloaded():

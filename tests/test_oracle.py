@@ -16,7 +16,6 @@ from mra_sync import (
     mmse_error_covariance,
     negated_noisy_inverse,
     observe,
-    relative_pose,
     sample_channel,
     sample_pose_set,
     sigma_from_snr_db,
@@ -166,7 +165,7 @@ def test_mc_denoising_matches_closed_form():
         poses = sample_pose_set(4, 2, rng)
         effective = apply_precoding(channels, poses)
         obs = observe(effective, sigma, rng)
-        rotations = [relative_pose(poses.poses[j], poses.poses[0]) for j in range(1, 4)]
+        rotations = [poses.poses[j].T @ poses.poses[0] for j in range(1, 4)]
         den = denoise_given_poses(list(obs.blocks), rotations, cov.matrix, sigma)
         per_seed.append(
             np.mean([np.mean((d - h) ** 2) for d, h in zip(den, effective.blocks)])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mra_sync import Rotation, procrustes_project, relative_pose, sample_pose_set
+from mra_sync import Rotation, procrustes_project, sample_pose_set
 from mra_sync.procrustes import _project_stack
 
 
@@ -92,28 +92,6 @@ def test_rotation_type_validates():
         Rotation(np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         Rotation(np.diag([1.0, -1.0]))
-
-
-def test_relative_pose_properties(rng):
-    p = sample_pose_set(3, 3, rng).poses
-    assert np.allclose(relative_pose(p[0], p[0]).matrix, np.eye(3), atol=1e-12)
-    r01 = relative_pose(p[0], p[1])
-    r10 = relative_pose(p[1], p[0])
-    assert np.linalg.norm(r01.matrix - r10.matrix.T) < 1e-12
-    r12 = relative_pose(p[1], p[2])
-    r02 = relative_pose(p[0], p[2])
-    assert np.linalg.norm(r01.matrix @ r12.matrix - r02.matrix) < 1e-10
-
-
-def test_relative_pose_angle_arithmetic():
-    t1, t2 = 0.7, -1.9
-    r = relative_pose(rot2(t1), rot2(t2))
-    assert np.abs(r.matrix - rot2(t2 - t1)).max() < 1e-12
-
-
-def test_relative_pose_dimension_mismatch():
-    with pytest.raises(ValueError):
-        relative_pose(np.eye(2), np.eye(3))
 
 
 def svd_project_2x2(x):

@@ -298,18 +298,37 @@ def test_run_grid_zero_noise_exact_all_methods():
             assert max(report.per_block_mse) < 1e-20
 
 
-def test_run_grid_gauge_invariance(rng):
-    grid = GridSpec(2, 3, 2, 2, 2)
+def relative_gap(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+def test_run_grid_gauge_invariance():
+    # every estimator is equivariant to a separate pose change Q_i of each block
+    for d in (2, 3, 4):
+        grid = GridSpec(4, 4, 2, 3, d)
+        cov = build_row_covariance(grid, KernelSpec(4.0))
+        q = sample_pose_set(grid.n_blocks, d, np.random.default_rng(5)).poses
+        for snr_db in (-5.0, 10.0, 30.0):
+            obs, _, _, sigma = make_instance(grid, cov, snr_db, 9)
+            obs_q = type(obs)(obs.blocks @ q, sigma)
+            for method in ("pairwise", "sync_base", "iterative"):
+                base = run_grid(method, obs, cov, grid).estimates.blocks
+                gauged = run_grid(method, obs_q, cov, grid).estimates.blocks
+                assert relative_gap(gauged, base @ q) < 1e-12
+
+
+def test_run_grid_ignores_the_order_of_the_triplets():
+    grid = GridSpec(4, 4, 2, 3, 2)
     cov = build_row_covariance(grid, KernelSpec(4.0))
-    obs, effective, _, sigma = make_instance(grid, cov, 10.0, 9)
-    q = sample_pose_set(1, 2, rng).poses[0]
-    obs_q = type(obs)(tuple(b @ q for b in obs.blocks), sigma)
-    effective_q = ChannelField(tuple(b @ q for b in effective.blocks))
-    for method in ("pairwise", "sync_base", "iterative"):
-        base = run_grid(method, obs, cov, grid, ground_truth=effective)
-        gauged = run_grid(method, obs_q, cov, grid, ground_truth=effective_q)
-        for a, b in zip(base.per_block_mse, gauged.per_block_mse):
-            assert abs(a - b) < 1e-8 * (1.0 + a)
+    triplets = build_triplet_tiling(grid).triplets
+    order = np.random.default_rng(2).permutation(len(triplets))
+    shuffled = TripletTiling(tuple(triplets[k] for k in order))
+    for snr_db in (-5.0, 10.0, 30.0):
+        obs, _, _, _ = make_instance(grid, cov, snr_db, 9)
+        for method in ("sync_base", "iterative"):
+            listed = run_grid(method, obs, cov, grid).estimates.blocks
+            reordered = run_grid(method, obs, cov, grid, tiling=shuffled).estimates.blocks
+            assert relative_gap(reordered, listed) < 1e-12
 
 
 def test_run_grid_shrinkage(default_grid, default_cov):
