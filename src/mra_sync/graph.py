@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GridSpec, PoseSet, _block_index, _count, _is_index_type
+from .model import GridSpec, PoseSet, _block_index, _count, _is_index
 from .procrustes import _as_matrix
 
 __all__ = [
@@ -34,17 +34,24 @@ class InvalidCycleError(ValueError):
     """Cycle sequence that is not closed or walks a missing edge."""
 
 
+def _edge_key(i, j, n_nodes: int) -> tuple:
+    """The stored key (min, max) of edge (i, j); ValueError unless both ends are nodes."""
+    if not (_is_index(i, n_nodes) and _is_index(j, n_nodes)):
+        raise ValueError(f"edge {(i, j)}: an endpoint is not an integer in [0, {n_nodes})")
+    return min(i, j), max(i, j)
+
+
 def lattice_edges(grid: GridSpec) -> list:
     """The 4-neighbor edge set of the block lattice, as sorted (i, j) pairs."""
     edges = []
     h, w = grid.height_blocks, grid.width_blocks
     for r in range(h):
         for c in range(w):
-            i = grid.block_index(r, c)
+            i = r * w + c
             if c + 1 < w:
-                edges.append((i, grid.block_index(r, c + 1)))
+                edges.append((i, i + 1))
             if r + 1 < h:
-                edges.append((i, grid.block_index(r + 1, c)))
+                edges.append((i, i + w))
     return sorted(edges)
 
 
@@ -116,11 +123,9 @@ class RelativePoseGraph:
         self.n_nodes = n_nodes
         self._edges = {}
         for (i, j), rot in edges.items():
-            if not all(_is_index_type(type(v)) and 0 <= v < n_nodes for v in (i, j)):
-                raise ValueError(f"edge {(i, j)}: an endpoint is not an integer in [0, {n_nodes})")
+            a, b = _edge_key(i, j, n_nodes)
             if i == j:
                 raise ValueError("self-loops are not allowed")
-            a, b = min(i, j), max(i, j)
             if (a, b) in self._edges:
                 raise ValueError(f"edge {(i, j)} is given in both directions")
             m = _as_matrix(rot, f"edge {(i, j)}")
@@ -133,7 +138,7 @@ class RelativePoseGraph:
                 raise ValueError(f"edge {edge} is not {self.dim} x {self.dim} like the first edge")
         self.triangles = tuple(tuple(sorted(t)) for t in _block_index(triangles, 3).tolist())
         for i, j, k in self.triangles:
-            if not (self.has_edge(i, j) and self.has_edge(j, k) and self.has_edge(i, k)):
+            if not {(i, j), (j, k), (i, k)} <= self._edges.keys():
                 raise ValueError(f"triangle {(i, j, k)}: a side is not an edge of the graph")
         pairs = np.array(list(self._edges))
         both = np.r_[pairs, pairs[:, ::-1]]  # every edge in both directions
@@ -147,30 +152,27 @@ class RelativePoseGraph:
         return dict(self._edges)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self._edges
+        return _edge_key(i, j, self.n_nodes) in self._edges
 
     def rotation(self, i: int, j: int) -> np.ndarray:
         """The rotation carried from i to j (transposed for reversed lookups)."""
-        key = (min(i, j), max(i, j))
-        if key not in self._edges:
+        if not self.has_edge(i, j):
             raise KeyError(f"no edge between {i} and {j}")
-        m = self._edges[key]
-        return m if i < j else m.T
+        return self._edges[i, j] if i < j else self._edges[j, i].T
 
     def replaced(self, i: int, j: int, rotation) -> "RelativePoseGraph":
         """A copy of the graph with one edge's rotation replaced."""
-        edges = self.edges
-        key = (min(i, j), max(i, j))
-        if key not in edges:
-            raise KeyError(f"no edge between {i} and {j}")
+        self.rotation(i, j)  # raises for a node outside the graph or a missing edge
         m = _as_matrix(rotation, "rotation")
-        edges[key] = m if i < j else m.T
+        edges = {**self._edges, (min(i, j), max(i, j)): m if i < j else m.T}
         return RelativePoseGraph(self.n_nodes, edges, self.triangles)
 
 
 def graph_from_poses(poses: PoseSet, edges, triangles=()) -> RelativePoseGraph:
     """Attach the relative rotation P_i^T P_j to every edge (i, j)."""
     edges = list(edges)
+    for i, j in edges:
+        _edge_key(i, j, poses.n_poses)  # before a bad node indexes, or wraps in, the pose stack
     first, second = np.array(edges, dtype=int).reshape(-1, 2).T
     carried = np.swapaxes(poses.poses[first], 1, 2) @ poses.poses[second]
     return RelativePoseGraph(poses.n_poses, dict(zip(edges, carried)), triangles)
@@ -184,7 +186,7 @@ def cycle_defect(graph: RelativePoseGraph, cycle) -> float:
     reports a defect of zero.
     """
     cycle = list(cycle)
-    if not all(_is_index_type(type(v)) and 0 <= v < graph.n_nodes for v in cycle):
+    if not all(_is_index(v, graph.n_nodes) for v in cycle):
         raise InvalidCycleError(f"cycle {cycle}: a node is not an integer in [0, {graph.n_nodes})")
     if len(cycle) < 2 or cycle[0] != cycle[-1]:
         raise InvalidCycleError("cycle must be a closed sequence")
@@ -257,7 +259,7 @@ def reconstruct_poses(graph: RelativePoseGraph, anchor: int = 0) -> list:
     # imported here for the reason given in RelativePoseGraph
     from scipy.sparse.csgraph import breadth_first_order
 
-    if not (_is_index_type(type(anchor)) and 0 <= anchor < graph.n_nodes):
+    if not _is_index(anchor, graph.n_nodes):
         raise ValueError(f"anchor {anchor!r} is not a node of the graph")
     order, parent = breadth_first_order(graph._csr, anchor)
     poses = [None] * graph.n_nodes

@@ -79,6 +79,11 @@ def _is_index_type(kind: type) -> bool:
     return issubclass(kind, numbers.Integral) and not issubclass(kind, bool)
 
 
+def _is_index(value, stop: int) -> bool:
+    """Whether ``value`` indexes ``stop`` items: an integer, not a bool, in [0, stop)."""
+    return _is_index_type(type(value)) and 0 <= value < stop
+
+
 def _count(value, name: str, minimum: int, error: type = ValueError) -> None:
     """Raise ``error`` naming ``name`` unless ``value`` is a non-bool integer >= ``minimum``."""
     if not (_is_index_type(type(value)) and value >= minimum):
@@ -163,13 +168,13 @@ class GridSpec:
 
     def block_position(self, index: int) -> tuple[int, int]:
         """Lattice (row, col) of a block index."""
-        if not 0 <= index < self.n_blocks:
+        if not _is_index(index, self.n_blocks):
             raise IndexError(f"block index {index} out of range [0, {self.n_blocks})")
         return divmod(index, self.width_blocks)
 
     def block_index(self, row: int, col: int) -> int:
         """Inverse of :meth:`block_position`."""
-        if not (0 <= row < self.height_blocks and 0 <= col < self.width_blocks):
+        if not (_is_index(row, self.height_blocks) and _is_index(col, self.width_blocks)):
             raise IndexError(f"lattice position ({row}, {col}) out of range")
         return row * self.width_blocks + col
 

@@ -94,7 +94,7 @@ class EstimateReport:
     """Denoised per-block estimates with error metrics vs the true effective field.
 
     Metric fields are None when no ground truth was supplied. ``refinement_iters``
-    counts the refinement rounds that ran: 0 unless ``iterative`` refined (0 < sigma < 1).
+    set the refinement's cap of 8 * ``refinement_iters`` sweeps; 0 when no refresh ran.
     """
 
     estimates: ChannelField
@@ -387,20 +387,15 @@ def run_grid(
     solve, observations, covariance or ``ground_truth`` shaped for another
     grid raise ``ValueError``, uncovered blocks ``CoverageError``.
 
-    ``iterative`` starts from the synchronization-base field and forms the
-    triplets' coefficients once from it. Each of the ``refinement_iters``
-    rounds restarts one stacked alternation over all triplets on those fixed
-    coefficients, warm-started from the last rotations, and the raw blocks
-    are denoised once under the final ones. So k rounds act like one
-    alternation with a cap of 8k sweeps, and the gain over the
-    synchronization base comes from the extra sweeps against the denoised
-    field. Every triplet keeps the stopping rule of
-    :func:`estimate_triplet_direct`, bit for bit as a per-triplet loop; the
-    direct stage still solves clique by clique. refinement_iters = 0 falls
-    back to the synchronization base, as does sigma >= 1 (unit signal
-    power), where the refresh measurably loses to the direct estimate's
-    noise-adapted rotations; a negative or non-integer count raises
-    ``ValueError``.
+    ``iterative`` refines the synchronization base's rotations by one
+    warm-started stacked alternation of at most 8 * ``refinement_iters``
+    sweeps over all triplets, on coefficients formed once from the
+    synchronization-base field, then denoises the raw blocks once; each
+    triplet keeps the stopping rule and bits of :func:`estimate_triplet_direct`.
+    refinement_iters = 0 falls back to the synchronization base, as does
+    sigma >= 1 (unit signal power), where the refresh measurably loses to the
+    direct estimate's noise-adapted rotations; a negative or non-integer
+    count raises ``ValueError``.
 
     The local operators depend on a clique's covariance submatrix only: the
     tiles of -(U_sub + sigma^2 I)^{-1}, the smoother (U_sub + sigma^2 I)^{-1}
@@ -476,11 +471,9 @@ def run_grid(
         # (T, D, D) each: every triplet's refresh cross tiles Ua, Ub, Uc
         cross = [np.stack(tile)[which] for tile in zip(*((t.ua, t.ub, t.uc) for t in refresh_ops))]
         ma, mb, mc = _coefficients(*(field[idx] for idx in index.T), *cross)
-        r21, r31 = rotations[:, 0], rotations[:, 1]
-        for _ in range(rounds):
-            r21, r31 = _alternate_stack(ma, mb, mc, r21, r31, DEFAULT_MAX_SWEEPS, DEFAULT_TOL)
-        rotations = np.stack([r21, r31], axis=1)
-        field = _denoise_average(blocks, index, rotations, smoothers, which, counts)
+        sweeps = rounds * DEFAULT_MAX_SWEEPS
+        refined = _alternate_stack(ma, mb, mc, rotations[:, 0], rotations[:, 1], sweeps, DEFAULT_TOL)
+        field = _denoise_average(blocks, index, np.stack(refined, axis=1), smoothers, which, counts)
 
     estimates = ChannelField(field)
 

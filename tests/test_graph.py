@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -299,6 +300,25 @@ def test_replaced_rejects_a_non_rotation():
     with pytest.raises(ValueError, match="rotation: matrix is not orthogonal"):
         g.replaced(1, 0, 2 * np.eye(2))
     assert np.array_equal(g.replaced(1, 0, rot2(0.5)).rotation(0, 1), rot2(0.5).T)
+
+
+def test_lookups_and_graph_from_poses_reject_bad_nodes():
+    # a bool or float node was read as the integer it equals; a node past the
+    # last pose reached the pose stack as numpy's bare IndexError
+    g, poses = pose_graph(2, 2)
+    lookups = (g.has_edge, g.rotation, lambda i, j: g.replaced(i, j, np.eye(2)))
+    for i, j in ((True, 3), (1.0, 3), (1, 4), (-1, 3)):
+        for lookup in lookups:
+            with pytest.raises(ValueError, match=r"an endpoint is not an integer in \[0, 4\)"):
+                lookup(i, j)
+    assert not g.has_edge(1, 2)
+    for lookup in lookups[1:]:
+        with pytest.raises(KeyError, match="no edge between 1 and 2"):
+            lookup(1, 2)
+    edges = list(g.edges)
+    for edge in ((1, 7), (-1, 2), (1.0, 2)):
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge}: an endpoint is not an")):
+            graph_from_poses(poses, edges + [edge])
 
 
 def test_graph_takes_numpy_integer_nodes_only():

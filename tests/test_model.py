@@ -33,6 +33,20 @@ def test_grid_block_position_bijection():
     assert len(seen) == grid.n_blocks
 
 
+def test_grid_block_lookups_take_integers_only():
+    # block_position(1.5) gave (0.0, 1.5), block_position(True) gave (0, 1)
+    # and block_index(0, 1.0) gave 1.0
+    grid = GridSpec(3, 5, 2, 2, 2)
+    for index in (1.5, 1.0, True, -1, 15):
+        with pytest.raises(IndexError, match=r"block index .* out of range \[0, 15\)"):
+            grid.block_position(index)
+    for row, col in ((0, 1.0), (True, 0), (0.5, 1), (3, 0), (0, -1)):
+        with pytest.raises(IndexError, match=r"lattice position .* out of range"):
+            grid.block_index(row, col)
+    assert grid.block_position(np.int64(7)) == (1, 2)
+    assert grid.block_index(np.int32(1), 2) == 7
+
+
 def test_grid_cell_positions_tile_contiguously():
     grid = GridSpec(2, 2, 3, 4, 2)
     pos = grid.cell_positions()

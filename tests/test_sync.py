@@ -285,7 +285,8 @@ def test_run_grid_single_triplet_matches_local_estimators():
         assert np.array_equal(a, b)
 
     report_it = run_grid("iterative", obs, cov, grid, ground_truth=effective, refinement_iters=4)
-    assert np.array_equal(report_it.estimates.blocks, iterative_reference(obs, cov, grid, 4))
+    expected = per_clique_reference("iterative", obs, cov, grid, 4)
+    assert report_it.estimates.blocks.tobytes() == expected.tobytes()
 
 
 def test_run_grid_zero_noise_exact_all_methods():
@@ -447,80 +448,6 @@ def test_run_grid_metrics_definition(default_grid, default_cov):
     assert report.nmse_db == pytest.approx(10.0 * math.log10(np.mean(manual)), rel=1e-12)
 
 
-def iterative_reference(obs, cov, grid, refinement_iters):
-    """The refinement loop as first written: every round denoises and averages
-    the whole field, though only the last round's field is kept, and every
-    round re-estimates the rotations against the synchronization-base field."""
-    sigma = obs.noise_sigma
-    d_cells = grid.block_cells
-    triplets = build_triplet_tiling(grid).triplets
-    subs = {t: cov.submatrix(t) for t in triplets}
-
-    def averaged(local):
-        sums = [np.zeros_like(obs.blocks[0]) for _ in range(grid.n_blocks)]
-        counts = [0] * grid.n_blocks
-        for t, est in local:
-            for b, e in zip(t, est):
-                sums[b] += e
-                counts[b] += 1
-        return [s / c for s, c in zip(sums, counts)]
-
-    def denoised(t, tri):
-        rotations = [tri.r12.T, tri.r13.T]
-        return t, denoise_given_poses([obs.blocks[b] for b in t], rotations, subs[t], sigma)
-
-    rotations, local = {}, []
-    for t in triplets:
-        tiles = split_triplet_tiles(negated_noisy_inverse(subs[t], sigma), d_cells)
-        rotations[t] = estimate_triplet_direct(*(obs.blocks[b] for b in t), tiles)
-        local.append(denoised(t, rotations[t]))
-    reference = field = averaged(local)
-
-    refresh = {}
-    for t in triplets:
-        n = subs[t].shape[0]
-        err = sigma**2 * cho_solve(cho_factor(subs[t] + sigma**2 * np.eye(n), lower=True), subs[t])
-        scale = math.sqrt(np.trace(err) / n)
-        refresh[t] = split_triplet_tiles(negated_noisy_inverse(subs[t], scale), d_cells)
-    for _ in range(refinement_iters):
-        local = []
-        for t in triplets:
-            rotations[t] = estimate_triplet_direct(
-                *(reference[b] for b in t),
-                refresh[t],
-                init=(rotations[t].r12, rotations[t].r13),
-            )
-            local.append(denoised(t, rotations[t]))
-        field = averaged(local)
-    return field
-
-
-def test_run_grid_iterative_matches_per_round_reference(default_grid, default_cov):
-    for snr_db, seed in ((10.0, 7), (20.0, 8)):
-        obs, effective, _, _ = make_instance(default_grid, default_cov, snr_db, seed)
-        report = run_grid("iterative", obs, default_cov, default_grid, refinement_iters=4)
-        expected = iterative_reference(obs, default_cov, default_grid, 4)
-        for a, b in zip(report.estimates.blocks, expected):
-            assert np.array_equal(a, b)
-
-
-@settings(max_examples=24, deadline=None, derandomize=True, database=None)
-@given(
-    shape=st.sampled_from([(1, 3), (2, 3), (3, 3)]),
-    d=st.sampled_from([2, 3, 4]),
-    length_scale=st.sampled_from([1.5, 3.0, 6.0]),
-    snr_db=st.sampled_from([5.0, 10.0, 20.0, 40.0]),
-    seed=st.integers(0, 2**16),
-)
-def test_run_grid_iterative_matches_reference_bit_for_bit(shape, d, length_scale, snr_db, seed):
-    grid = GridSpec(*shape, 2, 2, d)
-    cov = build_row_covariance(grid, KernelSpec(length_scale))
-    obs, _, _, _ = make_instance(grid, cov, snr_db, seed)
-    report = run_grid("iterative", obs, cov, grid, refinement_iters=4)
-    expected = np.array(iterative_reference(obs, cov, grid, 4))
-    assert report.estimates.blocks.tobytes() == expected.tobytes()
-
-
 def test_run_grid_rejects_negative_refinement_iters(default_grid, default_cov, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("operators built before the arguments were checked")
@@ -587,7 +514,7 @@ def test_run_grid_rejects_mismatched_ground_truth(monkeypatch):
 
 
 def test_run_grid_iterative_denoises_each_triplet_twice(default_grid, default_cov, monkeypatch):
-    calls = {"_denoise_average": 0, "denoise_given_poses": 0, "estimate_triplet_direct": 0}
+    calls = {"_denoise_average": 0, "denoise_given_poses": 0, "_alternate_stack": 0}
 
     def counting(name):
         original = getattr(sync_module, name)
@@ -601,18 +528,16 @@ def test_run_grid_iterative_denoises_each_triplet_twice(default_grid, default_co
     for name in calls:
         monkeypatch.setattr(sync_module, name, counting(name))
     obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 7)
-    n_triplets = len(build_triplet_tiling(default_grid).triplets)
-    assert n_triplets == 50
-    # one stacked denoise-and-average pass over all cliques per field; the
-    # refinement denoises once under its final rotations, not once per round
-    for method, passes in (("pairwise", 1), ("sync_base", 1), ("iterative", 2)):
+    # one stacked denoise-and-average pass over all cliques per field, and
+    # the refinement is one stacked alternation over all triplets
+    expected = (("pairwise", 1, 0), ("sync_base", 1, 0), ("iterative", 2, 1))
+    for method, passes, alternations in expected:
         for name in calls:
             calls[name] = 0
         run_grid(method, obs, default_cov, default_grid, refinement_iters=4)
         assert calls["_denoise_average"] == passes, method
         assert calls["denoise_given_poses"] == 0, method
-    # the refinement rounds run as stacked alternations, not per-triplet calls
-    assert calls["estimate_triplet_direct"] == n_triplets
+        assert calls["_alternate_stack"] == alternations, method
 
 
 def test_run_grid_builds_operators_once_per_clique_covariance(
@@ -650,30 +575,49 @@ def test_run_grid_builds_operators_once_per_clique_covariance(
         assert calls == counts, method
 
 
-def per_clique_reference(method, obs, cov, grid):
-    """pairwise or sync_base as a plain loop over cliques that builds every
-    clique's operators from its own submatrix."""
+def per_clique_reference(method, obs, cov, grid, refinement_iters):
+    """run_grid as a plain loop over cliques, each with operators from its own
+    submatrix; iterative refines each triplet by one warm-started call."""
     sigma = obs.noise_sigma
     d_cells = grid.block_cells
-    sums = np.zeros_like(obs.blocks)
-    counts = np.zeros(grid.n_blocks)
     if method == "pairwise":
-        cliques = lattice_edges(grid)
+        cliques = [list(c) for c in lattice_edges(grid)]
     else:
-        cliques = build_triplet_tiling(grid).triplets
-    for clique in cliques:
-        clique = list(clique)
-        sub = cov.submatrix(clique)
+        cliques = [list(c) for c in build_triplet_tiling(grid).triplets]
+    subs = [cov.submatrix(c) for c in cliques]
+
+    def averaged(rotations):
+        sums = np.zeros_like(obs.blocks)
+        counts = np.zeros(grid.n_blocks)
+        for clique, sub, rots in zip(cliques, subs, rotations):
+            sums[clique] += denoise_given_poses(obs.blocks[clique], rots, sub, sigma)
+            counts[clique] += 1
+        return sums / counts[:, None, None]
+
+    rotations = []
+    for clique, sub in zip(cliques, subs):
         neg_inv = negated_noisy_inverse(sub, sigma)
         local = obs.blocks[clique]
         if len(clique) == 2:
-            rotations = [estimate_pair(*local, neg_inv[:d_cells, d_cells:]).T]
+            rotations.append([estimate_pair(*local, neg_inv[:d_cells, d_cells:]).T])
         else:
             tri = estimate_triplet_direct(*local, split_triplet_tiles(neg_inv, d_cells))
-            rotations = [tri.r12.T, tri.r13.T]
-        sums[clique] += denoise_given_poses(local, rotations, sub, sigma)
-        counts[clique] += 1
-    return sums / counts[:, None, None]
+            rotations.append([tri.r12.T, tri.r13.T])
+    field = averaged(rotations)
+    if method != "iterative" or not 0 < sigma < 1 or refinement_iters == 0:
+        return field
+    for t, (clique, sub) in enumerate(zip(cliques, subs)):
+        n = sub.shape[0]
+        err = sigma**2 * cho_solve(cho_factor(sub + sigma**2 * np.eye(n), lower=True), sub)
+        refresh = negated_noisy_inverse(sub, math.sqrt(np.trace(err) / n))
+        tri = estimate_triplet_direct(
+            *field[clique],
+            split_triplet_tiles(refresh, d_cells),
+            max_sweeps=8 * refinement_iters,
+            init=[r.T for r in rotations[t]],
+        )
+        rotations[t] = [tri.r12.T, tri.r13.T]
+    return averaged(rotations)
 
 
 def test_run_grid_shared_operators_match_per_clique_loop(default_grid, default_cov):
@@ -692,10 +636,28 @@ def test_run_grid_shared_operators_match_per_clique_loop(default_grid, default_c
     ]
     for grid, cov, snr_db, seed in cases:
         obs, _, _, _ = make_instance(grid, cov, snr_db, seed)
-        for method in ("pairwise", "sync_base"):
-            report = run_grid(method, obs, cov, grid)
-            expected = per_clique_reference(method, obs, cov, grid)
-            assert np.array_equal(report.estimates.blocks, expected)
+        for method in ("pairwise", "sync_base", "iterative"):
+            report = run_grid(method, obs, cov, grid, refinement_iters=4)
+            expected = per_clique_reference(method, obs, cov, grid, 4)
+            assert report.estimates.blocks.tobytes() == expected.tobytes(), (method, snr_db)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from([(1, 3), (2, 3), (3, 3)]),
+    d=st.sampled_from([2, 3, 4]),
+    length_scale=st.sampled_from([1.5, 3.0, 6.0]),
+    snr_db=st.sampled_from([5.0, 10.0, 20.0, 40.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_run_grid_matches_per_clique_reference_bit_for_bit(shape, d, length_scale, snr_db, seed):
+    grid = GridSpec(*shape, 2, 2, d)
+    cov = build_row_covariance(grid, KernelSpec(length_scale))
+    obs, _, _, _ = make_instance(grid, cov, snr_db, seed)
+    for method in ("pairwise", "sync_base", "iterative"):
+        report = run_grid(method, obs, cov, grid, refinement_iters=4)
+        expected = per_clique_reference(method, obs, cov, grid, 4)
+        assert report.estimates.blocks.tobytes() == expected.tobytes(), method
 
 
 def test_observe_and_precoding_match_per_block_loop():
@@ -716,7 +678,7 @@ def test_observe_and_precoding_match_per_block_loop():
             assert rng.standard_normal() == loop_rng.standard_normal()
 
 
-# ------------------------------------------------- stacked refinement rounds
+# ------------------------------------------------------ stacked alternation
 
 
 def warm_triplets(d, seed=1):
