@@ -22,6 +22,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain
@@ -52,6 +53,11 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-12
+
+# A freed array of a few MiB raises glibc's dynamic mmap threshold for the rest
+# of the process and so changes the speed of later allocations; the covariance
+# is filled and checked in row chunks and tiles of at most this many bytes.
+SETUP_CHUNK_BYTES = 2**21
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -116,15 +122,30 @@ def _block_index(cliques, size: int) -> np.ndarray:
 
 
 def _max_asymmetry(matrix: np.ndarray) -> float:
-    """max |matrix - matrix.T|, with one n^2 temporary freed on return."""
-    diff = matrix - matrix.T
-    np.abs(diff, out=diff)
-    return float(diff.max())
+    """max |matrix - matrix.T|, NaN if any compared entry is NaN.
+
+    Compares each square tile above the diagonal, and each diagonal tile,
+    with its mirror image; a tile holds at most ``SETUP_CHUNK_BYTES``.
+    """
+    n = len(matrix)
+    side = math.isqrt(SETUP_CHUNK_BYTES // matrix.itemsize)
+    worst = []
+    for i in range(0, n, side):
+        for j in range(i, n, side):
+            diff = matrix[i : i + side, j : j + side] - matrix[j : j + side, i : i + side].T
+            np.abs(diff, out=diff)
+            worst.append(diff.max())
+    # np.max, unlike the builtin max, propagates NaN
+    return float(np.max(worst))
 
 
 def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, raising NotPositiveDefiniteError on failure."""
-    c, info = lapack.dpotrf(matrix, lower=1, overwrite_a=0, clean=1)
+    """Lower Cholesky factor, raising NotPositiveDefiniteError on failure.
+
+    ``dpotrf`` gets the Fortran-ordered view ``matrix.T``, which it copies
+    as it is; for exactly symmetric input that is the factor of ``matrix``.
+    """
+    c, info = lapack.dpotrf(matrix.T, lower=1, overwrite_a=0, clean=1)
     if info > 0:
         raise NotPositiveDefiniteError(info)
     if info < 0:
@@ -218,7 +239,11 @@ class RowCovariance:
     ``matrix`` is (N*D) x (N*D), stored C-contiguous so that
     :meth:`block_tiles` is a view; ``block_size`` is D. Construction validates
     symmetry and positive definiteness (via Cholesky; the factor is kept for
-    sampling and density evaluation).
+    sampling and density evaluation). The factor is taken of ``matrix.T``,
+    which LAPACK reads without a transposing copy; it is the factor of
+    ``matrix`` wherever that is exactly symmetric, as
+    :func:`build_row_covariance`'s is, and otherwise that of the symmetric
+    matrix given by the upper triangle.
     """
 
     matrix: np.ndarray
@@ -318,16 +343,17 @@ def split_triplet_tiles(matrix: np.ndarray, block_size: int) -> CovarianceTiles:
     )
 
 
-def _squared_lags(x: np.ndarray) -> np.ndarray:
-    """Matrix of (x_i - x_j)^2, built in place in one n^2 array."""
-    lags = np.subtract.outer(x, x)
+def _squared_lags(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of (x_i - y_j)^2, built in place in ``out`` or in one new array."""
+    lags = np.subtract.outer(x, y, out=out)
     lags *= lags
     return lags
 
 
 def _kernel_eigenvalues(n: int, length_scale: float) -> np.ndarray:
     """Eigenvalues of the 1-D squared-exponential kernel on coordinates 0..n-1."""
-    lags = _squared_lags(np.arange(n, dtype=float))
+    x = np.arange(n, dtype=float)
+    lags = _squared_lags(x, x)
     return np.linalg.eigvalsh(np.exp(-lags / (2.0 * length_scale**2)))
 
 
@@ -344,15 +370,19 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
     stored on the covariance for :meth:`RowCovariance.eigenvalues`.
     """
     rows, cols = grid.cell_positions().T
-    # squared distances are exact integers however they are summed, and the
-    # negate, divide and exp below run in the order of exp(-sq / (2 l^2)),
-    # so every entry is bit-identical to that formula (the sample stream of
-    # sample_channel depends on it)
-    u = _squared_lags(rows)
-    u += _squared_lags(cols)
-    np.negative(u, out=u)
-    u /= 2.0 * kernel.length_scale**2
-    np.exp(u, out=u)
+    u = np.empty((len(rows), len(rows)))
+    chunk = max(1, SETUP_CHUNK_BYTES // u[0].nbytes)
+    for start in range(0, len(u), chunk):
+        # squared distances are exact integers however they are summed, and the
+        # negate, divide and exp below run in the order of exp(-sq / (2 l^2)),
+        # so every entry is bit-identical to that formula (the sample stream of
+        # sample_channel depends on it)
+        part = slice(start, start + chunk)
+        block = _squared_lags(rows[part], rows, out=u[part])
+        block += _squared_lags(cols[part], cols)
+        np.negative(block, out=block)
+        block /= 2.0 * kernel.length_scale**2
+        np.exp(block, out=block)
     u[np.diag_indices_from(u)] += kernel.jitter
     cov = RowCovariance(u, grid.block_cells)
     lam_r = _kernel_eigenvalues(grid.height_blocks * grid.block_rows, kernel.length_scale)

@@ -108,7 +108,8 @@ def _project(x) -> tuple:
     if x.shape[0] < 2:
         raise ValueError("rotation projection needs d >= 2")
     if x.shape[0] == 2:
-        return _project_2x2(*x.ravel().tolist())
+        c, s, degenerate = _project_2x2(*x.ravel().tolist())
+        return np.array([[c, -s], [s, c]]), degenerate
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite entries")
 
@@ -128,7 +129,7 @@ def _project_stack(x: np.ndarray) -> np.ndarray:
 
     d = 2 maps the scalar closed form's ``math.hypot`` over the items (numpy's
     hypot rounds differently) and sends the items with p = 0 or an overflowing
-    p + q through the scalar :func:`_project` one at a time; d >= 3 takes one
+    p + q through the scalar :func:`_project_2x2` one at a time; d >= 3 takes one
     stacked SVD and flips the last column of A where det(A V^T) < 0.
     """
     if not np.all(np.isfinite(x)):
@@ -146,15 +147,19 @@ def _project_stack(x: np.ndarray) -> np.ndarray:
         special = np.flatnonzero(~(p > 0) | ~np.isfinite(p + q))
     p[special] = 1.0
     c, s = cos_part / p, sin_part / p
-    out = np.stack([c, -s, s, c], axis=-1).reshape(x.shape)
     for t in special:
-        out[t] = _project(x[t])[0]
-    return out
+        c[t], s[t], _ = _project_2x2(*x[t].ravel().tolist())
+    return np.stack([c, -s, s, c], axis=-1).reshape(x.shape)
 
 
 def _project_2x2(x00: float, x01: float, x10: float, x11: float) -> tuple:
-    """The d = 2 closed form of :func:`_project` on scalar entries."""
-    if not all(map(math.isfinite, (x00, x01, x10, x11))):
+    """The d = 2 closed form of :func:`_project` on scalar entries, as floats (c, s, degenerate).
+
+    The maximizer is [[c, -s], [s, c]]; the one place that holds the d = 2
+    hypot, overflow and degeneracy rules.
+    """
+    finite = math.isfinite
+    if not (finite(x00) and finite(x01) and finite(x10) and finite(x11)):
         raise ValueError("input contains non-finite entries")
     cos_part, sin_part = x00 + x11, x10 - x01
     p = math.hypot(cos_part, sin_part)
@@ -169,5 +174,5 @@ def _project_2x2(x00: float, x01: float, x10: float, x11: float) -> tuple:
         scale = max((p + q) / 2, _TINY)
         degenerate = (q - p) / 2 <= _DEGENERACY_RTOL * scale or p <= _DEGENERACY_RTOL * scale
     c, s = (cos_part / p, sin_part / p) if p > 0 else (1.0, 0.0)
-    return np.array([[c, -s], [s, c]]), degenerate
+    return c, s, degenerate
 

@@ -26,7 +26,14 @@ from .model import (
     split_triplet_tiles,
 )
 from .oracle import mmse_error_covariance
-from .procrustes import Rotation, _as_matrix, _project, _project_stack, procrustes_project
+from .procrustes import (
+    Rotation,
+    _as_matrix,
+    _project,
+    _project_2x2,
+    _project_stack,
+    procrustes_project,
+)
 
 __all__ = [
     "TripletEstimate",
@@ -218,8 +225,11 @@ def estimate_triplet_direct(
     then R_12, each as the closed-form maximizer of the objective with the
     other held fixed, so the recorded objective trace never decreases.
     Sweeping stops when both rotations move less than ``tol`` in Frobenius
-    norm or after ``max_sweeps``. The sweeps work on bare arrays; only the
-    returned rotations are built as validated :class:`Rotation` objects.
+    norm or after ``max_sweeps``. For d = 2 the sweeps run on Python floats,
+    with the written-out 2 x 2 arithmetic of the stacked alternation of
+    :func:`run_grid`'s refinement, so the two agree bit for bit; for d >= 3
+    on bare arrays. Only the returned rotations are built as validated
+    :class:`Rotation` objects.
 
     ``init`` optionally warm-starts the alternation with an existing
     (r12, r13) pair; otherwise R_12 starts from the pairwise estimate of the
@@ -239,6 +249,9 @@ def estimate_triplet_direct(
         r12_init, r13_init = init
         r21 = _as_matrix(r12_init, "init r12").T
         r31 = _as_matrix(r13_init, "init r13").T
+
+    if ma.shape == (2, 2):
+        return _alternate_2x2(ma, mb, mc, r21, r31, max_sweeps, tol)
 
     trace = []
     converged = False
@@ -263,6 +276,42 @@ def estimate_triplet_direct(
     )
 
 
+def _alternate_2x2(ma, mb, mc, r21, r31, max_sweeps: int, tol: float) -> TripletEstimate:
+    """The sweeps of :func:`estimate_triplet_direct` for d = 2, on the four row-major
+    entries of each matrix as Python floats; ``r31`` is None on a cold start.
+
+    Products and steps are :func:`_plus_product` and :func:`_squared_step`,
+    the arithmetic of :func:`_alternate_stack`'s d = 2 path, and the
+    projections the scalar closed form, so the two agree bit for bit.
+    """
+    ma, mb, mc = (m.ravel().tolist() for m in (ma, mb, mc))
+    mct = _transposed(mc)
+    r21 = r21.ravel().tolist()
+    r31 = None if r31 is None else r31.ravel().tolist()
+    trace = []
+    converged = False
+    for sweeps in range(1, max_sweeps + 1):
+        prev21, prev31 = r21, r31
+        c, s, deg31 = _project_2x2(*_plus_product(mb, mc, r21))
+        r31 = (c, -s, s, c)
+        x21 = _plus_product(ma, mct, r31)
+        c, s, deg21 = _project_2x2(*x21)
+        r21 = (c, -s, s, c)
+        trace.append(_inner(r21, x21) + _inner(r31, mb))
+        if prev31 is None:
+            continue
+        if math.sqrt(max(_squared_step(r21, prev21), _squared_step(r31, prev31))) < tol:
+            converged = True
+            break
+    return TripletEstimate(
+        r12=Rotation(np.reshape(_transposed(r21), (2, 2)), deg21),
+        r13=Rotation(np.reshape(_transposed(r31), (2, 2)), deg31),
+        objective_trace=tuple(trace),
+        converged=converged,
+        sweeps=sweeps,
+    )
+
+
 def _coefficients(b1, b2, b3, ua, ub, uc) -> tuple:
     """Ma = B2^T Ua^T B1, Mb = B3^T Ub^T B1, Mc = B3^T Uc^T B2 of one triplet or a (T, ...) stack.
 
@@ -279,6 +328,41 @@ def _step(d21: np.ndarray, d31: np.ndarray):
     return np.sqrt(np.maximum(*squared))
 
 
+# The d = 2 arithmetic of both alternations. A 2 x 2 matrix is its four row-major
+# entries: floats for one triplet, (T,) arrays for a stack. Every entry is
+# written out, so one triplet and a stack round alike; numpy's matmul fuses
+# some of these multiply-adds.
+
+
+def _plus_product(m, c, r) -> tuple:
+    """M + C R, each entry summed as m_ij + (c_i0 r_0j + c_i1 r_1j)."""
+    m00, m01, m10, m11 = m
+    c00, c01, c10, c11 = c
+    r00, r01, r10, r11 = r
+    return (
+        m00 + (c00 * r00 + c01 * r10),
+        m01 + (c00 * r01 + c01 * r11),
+        m10 + (c10 * r00 + c11 * r10),
+        m11 + (c10 * r01 + c11 * r11),
+    )
+
+
+def _transposed(m) -> tuple:
+    """M^T."""
+    return m[0], m[2], m[1], m[3]
+
+
+def _inner(a, b):
+    """<A, B>_F."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def _squared_step(new, old):
+    """||new - old||_F^2."""
+    d0, d1, d2, d3 = new[0] - old[0], new[1] - old[1], new[2] - old[2], new[3] - old[3]
+    return d0 * d0 + d1 * d1 + d2 * d2 + d3 * d3
+
+
 def _alternate_stack(ma, mb, mc, r21, r31, max_sweeps: int, tol: float):
     """The warm-started alternation of :func:`estimate_triplet_direct` over (T, d, d) stacks.
 
@@ -291,14 +375,30 @@ def _alternate_stack(ma, mb, mc, r21, r31, max_sweeps: int, tol: float):
     r21, r31 = r21.copy(), r31.copy()
     active = np.arange(len(ma))
     for _ in range(max_sweeps):
-        prev21, prev31 = r21[active], r31[active]
-        new31 = _project_stack(mb[active] + mc[active] @ prev21)
-        new21 = _project_stack(ma[active] + mc[active].transpose(0, 2, 1) @ new31)
-        r21[active], r31[active] = new21, new31
-        active = active[~(_step(new21 - prev21, new31 - prev31) < tol)]
+        r21[active], r31[active], step = _sweep_stack(*(x[active] for x in (ma, mb, mc, r21, r31)))
+        active = active[~(step < tol)]
         if not active.size:
             break
     return r21, r31
+
+
+def _sweep_stack(ma, mb, mc, r21, r31) -> tuple:
+    """One sweep of every triplet of the stacks: the new R_21 and R_31 and each one's step.
+
+    d = 2 runs the entry-wise arithmetic of :func:`_alternate_2x2` on (T,)
+    columns; d >= 3 that of :func:`estimate_triplet_direct` on the stacks.
+    """
+    if ma.shape[-1] > 2:
+        new31 = _project_stack(mb + mc @ r21)
+        new21 = _project_stack(ma + mc.transpose(0, 2, 1) @ new31)
+        return new21, new31, _step(new21 - r21, new31 - r31)
+    # (4, T): the row-major entries of each stack, and back
+    entries, stack = (lambda x: x.reshape(-1, 4).T), (lambda e: np.stack(e, -1).reshape(-1, 2, 2))
+    ma, mb, mc, r21, r31 = map(entries, (ma, mb, mc, r21, r31))
+    new31 = _project_stack(stack(_plus_product(mb, mc, r21)))
+    new21 = _project_stack(stack(_plus_product(ma, _transposed(mc), entries(new31))))
+    step21, step31 = _squared_step(entries(new21), r21), _squared_step(entries(new31), r31)
+    return new21, new31, np.sqrt(np.maximum(step21, step31))
 
 
 def residual_noise_sigma(cov_sub: np.ndarray, sigma: float) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import lapack
 
 from mra_sync import (
     ChannelField,
@@ -21,6 +22,7 @@ from mra_sync import (
     sample_pose_set,
     split_triplet_tiles,
 )
+from mra_sync.model import _max_asymmetry
 
 
 def test_grid_block_position_bijection():
@@ -131,20 +133,40 @@ def test_covariance_default_geometry(default_grid, default_cov):
         GridSpec(1, 7, 2, 2, 3),
         GridSpec(1, 1, 3, 4, 2),
         GridSpec(4, 3, 2, 3, 2),
+        GridSpec(12, 12, 3, 4, 2),  # N*D = 1728: several row chunks and symmetry tiles
     ],
 )
 @pytest.mark.parametrize("length_scale", [5.0, 1.3])
 def test_covariance_bit_equal_to_einsum_formula(grid, length_scale):
     # the dense-Cholesky sample stream, and so the golden CSV, depend on
-    # every entry of the matrix
+    # every entry of the matrix and of its factor
     kernel = KernelSpec(length_scale)
     pos = grid.cell_positions()
     diff = pos[:, None, :] - pos[None, :, :]
     sq = np.einsum("ijk,ijk->ij", diff, diff)
     expected = np.exp(-sq / (2.0 * kernel.length_scale**2))
     expected[np.diag_indices_from(expected)] += kernel.jitter
-    matrix = build_row_covariance(grid, kernel).matrix
-    assert np.array_equal(matrix.view(np.int64), expected.view(np.int64))
+    cov = build_row_covariance(grid, kernel)
+    assert np.array_equal(cov.matrix.view(np.int64), expected.view(np.int64))
+    factor, info = lapack.dpotrf(expected, lower=1, clean=1)
+    assert info == 0 and cov.cholesky().tobytes() == factor.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5, 511, 513, 1100])
+def test_max_asymmetry_equals_dense_formula(n):
+    m = np.random.default_rng(n).standard_normal((n, n))
+    assert _max_asymmetry(m) == np.abs(m - m.T).max()
+    symmetric = m + m.T
+    assert _max_asymmetry(symmetric) == 0.0
+    last = n - 1
+    # asymmetry only in a tile of the far corner: the diagonal one and the corner pair
+    for i, j in [(last, last - 1), (last, 0)] if n > 1 else []:
+        bent = symmetric.copy()
+        bent[i, j] += 0.5
+        assert _max_asymmetry(bent) == np.abs(bent - bent.T).max() > 0.0
+    nan_diagonal = symmetric.copy()
+    nan_diagonal[last, last] = np.nan
+    assert math.isnan(_max_asymmetry(nan_diagonal))
 
 
 def test_covariance_rejects_asymmetry():

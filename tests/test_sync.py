@@ -11,6 +11,7 @@ import mra_sync.sync as sync_module
 from mra_sync.sync import _alternate_stack
 from mra_sync import (
     ChannelField,
+    CovarianceTiles,
     CoverageError,
     GridSpec,
     InvalidTripletError,
@@ -743,3 +744,52 @@ def test_alternate_stack_independent_of_batch_size_and_order(d):
         one = slice(t, t + 1)
         single = np.array(_alternate_stack(ma[one], mb[one], mc[one], r21[one], r31[one], 20, tol))
         assert single.tobytes() == whole[:, one].tobytes()
+
+
+def coefficient_triplet(ma, mb, mc):
+    """Blocks and tiles of a D = d = 2 triplet whose coefficients are ma, mb and mc,
+    and those coefficients as estimate_triplet_direct forms them."""
+    blocks = [np.eye(2)] * 3
+    zero = np.zeros((2, 2))
+    tiles = CovarianceTiles(zero, zero, zero, ma.T, mb.T, mc.T)
+    return blocks, tiles, sync_module._coefficients(*blocks, tiles.ua, tiles.ub, tiles.uc)
+
+
+def test_scalar_and_stacked_d2_alternations_agree_bit_for_bit():
+    rng = np.random.default_rng(5)
+    reflection = np.diag([1.0, -1.0])
+    # passes as a rotation (within 1e-10 of orthogonal), but is not [[c, -s], [s, c]]
+    skewed = rot2(0.7) + np.array([[3e-12, -1e-12], [4e-12, -2e-12]])
+    assert skewed[0, 0] != skewed[1, 1] and skewed[0, 1] != -skewed[1, 0]
+    # p = 0.48e308 and q = 1.4e308 are finite, p + q is not
+    huge = 0.6e308 * np.array([[1.0, 1.0], [1.0, -0.2]])
+    cases = [
+        # (ma, mb, mc, r12, r13): the last two warm-start both paths
+        (*rng.standard_normal((3, 2, 2)), skewed, skewed.T),
+        # X31 and X21 with p = 0: the projections fall back to the identity
+        (reflection, reflection, np.zeros((2, 2)), rot2(0.3), rot2(-1.1)),
+        (np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), skewed, rot2(2.0)),
+        (*1e300 * rng.standard_normal((3, 2, 2)), rot2(1.0), skewed),
+        # X31 = X21 = huge: the closed form rescales
+        (huge, huge, np.zeros((2, 2)), skewed, rot2(0.2)),
+    ]
+    tol = sync_module.DEFAULT_TOL
+    for ma, mb, mc, r12, r13 in cases:
+        blocks, tiles, coefficients = coefficient_triplet(ma, mb, mc)
+        for max_sweeps in (1, 2, 8, 32):
+            est = estimate_triplet_direct(*blocks, tiles, max_sweeps=max_sweeps, init=(r12, r13))
+            stacked = _alternate_stack(
+                *(m[None] for m in coefficients), r12.T[None], r13.T[None], max_sweeps, tol
+            )
+            assert stacked[0][0].tobytes() == est.r12.matrix.T.tobytes()
+            assert stacked[1][0].tobytes() == est.r13.matrix.T.tobytes()
+    # NaN coefficients raise the projection's error on both paths
+    for k in range(3):
+        ms = list(rng.standard_normal((3, 2, 2)))
+        ms[k][1, 0] = np.nan
+        blocks, tiles, coefficients = coefficient_triplet(*ms)
+        with pytest.raises(ValueError, match="input contains non-finite entries"):
+            estimate_triplet_direct(*blocks, tiles, init=(np.eye(2), np.eye(2)))
+        with pytest.raises(ValueError, match="input contains non-finite entries"):
+            identity = np.eye(2)[None]
+            _alternate_stack(*(m[None] for m in coefficients), identity, identity, 8, tol)
