@@ -61,10 +61,11 @@ SETUP_CHUNK_BYTES = 2**21
 
 
 class NotPositiveDefiniteError(ValueError):
-    """A covariance factorization failed.
+    """A covariance is not positive definite.
 
     ``minor_index`` is the 1-based order of the offending leading minor as
-    reported by the Cholesky routine.
+    reported by the Cholesky routine or, from :func:`build_row_covariance`'s
+    Kronecker spectrum, the number of eigenvalues that are not positive.
     """
 
     def __init__(self, minor_index: int, message: str | None = None):
@@ -232,23 +233,46 @@ class KernelSpec:
             raise ValueError("jitter must be non-negative")
 
 
+class _KroneckerRoot(NamedTuple):
+    """Square root R = P (Q_r (x) Q_c) S of a separable covariance U = R R^T.
+
+    ``rows``, ``cols`` are the 1-D kernels' eigenvectors, ``scale`` is S as
+    an (n_r, n_c) grid, and ``order`` the gather P: the row-major grid index
+    of every (block, cell) row of U.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    scale: np.ndarray
+    order: np.ndarray
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        """R @ z for an (n_r * n_c, k) array z, as Q_r (S o Z) Q_c^T per column."""
+        n_r, n_c = self.scale.shape
+        w = (self.scale[:, :, None] * z.reshape(n_r, n_c, -1)).reshape(n_r, -1)
+        x = self.cols @ (self.rows @ w).reshape(n_r, n_c, -1)
+        return x.reshape(n_r * n_c, -1)[self.order]
+
+
 @dataclass(frozen=True, eq=False)
 class RowCovariance:
     """SPD row covariance of the stacked signal, with block-aware slicing.
 
     ``matrix`` is (N*D) x (N*D), stored C-contiguous so that
     :meth:`block_tiles` is a view; ``block_size`` is D. Construction validates
-    symmetry and positive definiteness (via Cholesky; the factor is kept for
-    sampling and density evaluation). The factor is taken of ``matrix.T``,
-    which LAPACK reads without a transposing copy; it is the factor of
-    ``matrix`` wherever that is exactly symmetric, as
-    :func:`build_row_covariance`'s is, and otherwise that of the symmetric
+    symmetry and positive definiteness, through :meth:`cholesky` unless
+    :func:`build_row_covariance` passes its checked Kronecker square root as
+    ``_root``, which :func:`sample_channel` then draws through. The Cholesky
+    factor is taken of ``matrix.T``, which LAPACK reads without a transposing
+    copy; it is the factor of ``matrix`` wherever that is exactly symmetric,
+    as :func:`build_row_covariance`'s is, and otherwise that of the symmetric
     matrix given by the upper triangle.
     """
 
     matrix: np.ndarray
     block_size: int
-    _chol: np.ndarray = field(init=False, repr=False)
+    _root: _KroneckerRoot | None = field(default=None, repr=False, kw_only=True)
+    _chol: np.ndarray | None = field(init=False, repr=False, default=None)
     _eigenvalues: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -263,7 +287,8 @@ class RowCovariance:
         if not (np.isfinite(scale) and _max_asymmetry(m) <= SYMMETRY_RTOL * scale):
             raise ValueError("covariance is not finite and symmetric to relative 1e-12")
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_chol", _cholesky_lower(m))
+        if self._root is None:
+            self.cholesky()
 
     @property
     def size(self) -> int:
@@ -274,7 +299,9 @@ class RowCovariance:
         return self.size // self.block_size
 
     def cholesky(self) -> np.ndarray:
-        """Lower factor L with L @ L.T == matrix."""
+        """Lower factor L with L @ L.T == matrix, factored on first use and then kept."""
+        if self._chol is None:
+            object.__setattr__(self, "_chol", _cholesky_lower(self.matrix))
         return self._chol
 
     def eigenvalues(self) -> np.ndarray:
@@ -350,11 +377,11 @@ def _squared_lags(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -
     return lags
 
 
-def _kernel_eigenvalues(n: int, length_scale: float) -> np.ndarray:
-    """Eigenvalues of the 1-D squared-exponential kernel on coordinates 0..n-1."""
+def _kernel_eigh(n: int, length_scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the 1-D squared-exponential kernel on 0..n-1."""
     x = np.arange(n, dtype=float)
     lags = _squared_lags(x, x)
-    return np.linalg.eigvalsh(np.exp(-lags / (2.0 * length_scale**2)))
+    return np.linalg.eigh(np.exp(-lags / (2.0 * length_scale**2)))
 
 
 def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
@@ -365,18 +392,28 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
 
     The cells fill an n_r x n_c rectangle (n_r = H * block_rows, n_c =
     W * block_cols) and the kernel factors over its two axes, so U is a
-    permutation of K_r (x) K_c plus jitter * I. Its eigenvalues are therefore
-    lambda_r,i * lambda_c,j + jitter from the two 1-D kernels; they are
-    stored on the covariance for :meth:`RowCovariance.eigenvalues`.
+    permutation P of K_r (x) K_c plus jitter * I. With K = Q Lambda Q^T for
+    the 1-D kernels, its eigenvalues are lambda_r,i * lambda_c,j + jitter
+    (kept for :meth:`RowCovariance.eigenvalues`), and as the jitter shifts
+    them all alike, U = R R^T for the root R = P (Q_r (x) Q_c)
+    (max(Lambda_r (x) Lambda_c, 0) + jitter)^(1/2) that :func:`sample_channel`
+    draws through. U must be positive definite on that clipped spectrum.
     """
     rows, cols = grid.cell_positions().T
+    n_r, n_c = grid.height_blocks * grid.block_rows, grid.width_blocks * grid.block_cols
+    lam_r, q_r = _kernel_eigh(n_r, kernel.length_scale)
+    lam_c, q_c = _kernel_eigh(n_c, kernel.length_scale)
+    spectrum = np.maximum(np.outer(lam_r, lam_c), 0.0) + kernel.jitter
+    failed = np.count_nonzero(spectrum <= 0.0)
+    if failed:
+        raise NotPositiveDefiniteError(failed, f"{failed} kernel eigenvalues are not positive")
     u = np.empty((len(rows), len(rows)))
     chunk = max(1, SETUP_CHUNK_BYTES // u[0].nbytes)
     for start in range(0, len(u), chunk):
         # squared distances are exact integers however they are summed, and the
         # negate, divide and exp below run in the order of exp(-sq / (2 l^2)),
-        # so every entry is bit-identical to that formula (the sample stream of
-        # sample_channel depends on it)
+        # so every entry is bit-identical to that formula (run_grid's clique
+        # tiles are read from it)
         part = slice(start, start + chunk)
         block = _squared_lags(rows[part], rows, out=u[part])
         block += _squared_lags(cols[part], cols)
@@ -384,9 +421,9 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
         block /= 2.0 * kernel.length_scale**2
         np.exp(block, out=block)
     u[np.diag_indices_from(u)] += kernel.jitter
-    cov = RowCovariance(u, grid.block_cells)
-    lam_r = _kernel_eigenvalues(grid.height_blocks * grid.block_rows, kernel.length_scale)
-    lam_c = _kernel_eigenvalues(grid.width_blocks * grid.block_cols, kernel.length_scale)
+    order = (rows * n_c + cols).astype(np.intp)
+    root = _KroneckerRoot(q_r, q_c, np.sqrt(spectrum), order)
+    cov = RowCovariance(u, grid.block_cells, _root=root)
     cov._set_eigenvalues(np.outer(lam_r, lam_c).ravel() + kernel.jitter)
     return cov
 
@@ -479,14 +516,17 @@ class ObservationSet(ChannelField):
 def sample_channel(cov: RowCovariance, antennas: int, rng) -> ChannelField:
     """Draw one channel field from MN(0, U, I).
 
-    The stacked (N*D) x d sample is L @ G for the stored Cholesky factor L
-    and i.i.d. standard-normal G, so every column is N(0, U). Deterministic
-    for a given rng state.
+    The stacked (N*D) x d sample is R @ G for one (N*D, d) standard-normal
+    draw G and a root R R^T = U, so every column is N(0, U): the Kronecker
+    root of a covariance from :func:`build_row_covariance`, else the Cholesky
+    factor. Deterministic for a given rng state; through the Kronecker root
+    also whatever the BLAS thread count.
     """
     _count(antennas, "antennas", 1)
     rng = np.random.default_rng(rng)
     g = rng.standard_normal((cov.size, antennas))
-    return ChannelField((cov.cholesky() @ g).reshape(cov.n_blocks, cov.block_size, antennas))
+    root = cov.cholesky() if cov._root is None else cov._root
+    return ChannelField((root @ g).reshape(cov.n_blocks, cov.block_size, antennas))
 
 
 def sample_pose_set(n_blocks: int, antennas: int, rng) -> PoseSet:

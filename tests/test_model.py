@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import lapack
 
+import mra_sync
 from mra_sync import (
     ChannelField,
     GridSpec,
@@ -126,20 +130,20 @@ def test_covariance_default_geometry(default_grid, default_cov):
     assert default_cov.cholesky().shape == (432, 432)
 
 
-@pytest.mark.parametrize(
-    "grid",
-    [
-        GridSpec(6, 6, 3, 4, 2),
-        GridSpec(1, 7, 2, 2, 3),
-        GridSpec(1, 1, 3, 4, 2),
-        GridSpec(4, 3, 2, 3, 2),
-        GridSpec(12, 12, 3, 4, 2),  # N*D = 1728: several row chunks and symmetry tiles
-    ],
-)
+COVARIANCE_GRIDS = [
+    GridSpec(6, 6, 3, 4, 2),
+    GridSpec(1, 7, 2, 2, 3),
+    GridSpec(1, 1, 3, 4, 2),
+    GridSpec(4, 3, 2, 3, 2),
+    GridSpec(12, 12, 3, 4, 2),  # N*D = 1728: several row chunks and symmetry tiles
+]
+
+
+@pytest.mark.parametrize("grid", COVARIANCE_GRIDS)
 @pytest.mark.parametrize("length_scale", [5.0, 1.3])
 def test_covariance_bit_equal_to_einsum_formula(grid, length_scale):
-    # the dense-Cholesky sample stream, and so the golden CSV, depend on
-    # every entry of the matrix and of its factor
+    # run_grid's clique tiles, and so the golden CSV, depend on every entry of
+    # the matrix; log_prior_density depends on every entry of its factor
     kernel = KernelSpec(length_scale)
     pos = grid.cell_positions()
     diff = pos[:, None, :] - pos[None, :, :]
@@ -150,6 +154,28 @@ def test_covariance_bit_equal_to_einsum_formula(grid, length_scale):
     assert np.array_equal(cov.matrix.view(np.int64), expected.view(np.int64))
     factor, info = lapack.dpotrf(expected, lower=1, clean=1)
     assert info == 0 and cov.cholesky().tobytes() == factor.tobytes()
+
+
+@pytest.mark.parametrize("grid", COVARIANCE_GRIDS)
+@pytest.mark.parametrize("length_scale", [5.0, 1.3])
+def test_kronecker_root_squares_to_the_covariance(grid, length_scale):
+    cov = build_row_covariance(grid, KernelSpec(length_scale))
+    root = cov._root @ np.eye(cov.size)
+    assert np.abs(root @ root.T - cov.matrix).max() <= 1e-13
+    # the dense factor is taken on request only, and then kept
+    assert cov._chol is None and cov.cholesky() is cov.cholesky()
+
+
+def test_covariance_build_keeps_its_failure_semantics():
+    # a constant kernel, and desk's kernel, without jitter: numerically singular
+    for grid, length_scale in ((GridSpec(2, 2, 2, 2, 2), 1e8), (GridSpec(6, 6, 3, 4, 2), 5.0)):
+        with pytest.raises(NotPositiveDefiniteError) as err:
+            build_row_covariance(grid, KernelSpec(length_scale, jitter=0.0))
+        assert 1 <= err.value.minor_index <= grid.n_blocks * grid.block_cells
+    # a well-conditioned kernel needs no jitter, and its dense factor exists too
+    build_row_covariance(GridSpec(6, 6, 3, 4, 2), KernelSpec(1.3, jitter=0.0)).cholesky()
+    with pytest.raises(ValueError, match="not finite"):
+        build_row_covariance(GridSpec(2, 2, 2, 2, 2), KernelSpec(3.0, jitter=math.inf))
 
 
 @pytest.mark.parametrize("n", [1, 5, 511, 513, 1100])
@@ -288,6 +314,37 @@ def test_sample_channel_deterministic(default_cov):
     a = sample_channel(default_cov, 2, 42).stacked()
     b = sample_channel(default_cov, 2, 42).stacked()
     assert np.array_equal(a, b)
+
+
+def test_sample_channel_draws_one_normal_per_entry(default_cov):
+    # poses and noise are drawn after the channel, so their draws depend on this
+    for cov in (default_cov, RowCovariance(np.eye(6), 2)):
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        sample_channel(cov, 2, rng)
+        reference.standard_normal((cov.size, 2))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_seeded_draws_do_not_depend_on_the_blas_thread_count():
+    # a dense Cholesky factor changes in its last bits with the thread count
+    script = (
+        "import hashlib\n"
+        "from mra_sync import GridSpec, KernelSpec, build_row_covariance, sample_channel\n"
+        "for grid in (GridSpec(6, 6, 3, 4, 2), GridSpec(6, 6, 3, 4, 4)):\n"
+        "    cov = build_row_covariance(grid, KernelSpec(5.0))\n"
+        "    draw = sample_channel(cov, grid.antennas, 7).blocks\n"
+        "    print(hashlib.sha256(draw.tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(mra_sync.__file__))
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout.split()
+        for threads in ("1", "2")
+    ]
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 def test_sample_channel_rejects_bad_antennas():
