@@ -29,6 +29,7 @@ from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import cho_solve, lapack
 
 from .procrustes import ROTATION_TOL, _check_rotation
@@ -55,8 +56,9 @@ __all__ = [
 SYMMETRY_RTOL = 1e-12
 
 # A freed array of a few MiB raises glibc's dynamic mmap threshold for the rest
-# of the process and so changes the speed of later allocations; the covariance
-# is filled and checked in row chunks and tiles of at most this many bytes.
+# of the process and so changes the speed of later allocations. No temporary of
+# a covariance build on the bench's grids, and no tile that _max_asymmetry
+# checks, holds more than this many bytes.
 SETUP_CHUNK_BYTES = 2**21
 
 
@@ -227,8 +229,14 @@ class KernelSpec:
     jitter: float = 1e-9
 
     def __post_init__(self):
-        if not self.length_scale > 0:
-            raise ValueError("length_scale must be positive")
+        try:  # float ** raises OverflowError where float * gives inf
+            valid = self.length_scale > 0 and 0.0 < 2.0 * float(self.length_scale) ** 2 < math.inf
+        except OverflowError:
+            valid = False
+        if not valid:
+            raise ValueError(
+                f"length_scale must be > 0 with 2 l^2 finite and > 0, got {self.length_scale!r}"
+            )
         if not self.jitter >= 0:
             raise ValueError("jitter must be non-negative")
 
@@ -259,10 +267,11 @@ class RowCovariance:
     """SPD row covariance of the stacked signal, with block-aware slicing.
 
     ``matrix`` is (N*D) x (N*D), stored C-contiguous so that
-    :meth:`block_tiles` is a view; ``block_size`` is D. Construction validates
-    symmetry and positive definiteness, through :meth:`cholesky` unless
-    :func:`build_row_covariance` passes its checked Kronecker square root as
-    ``_root``, which :func:`sample_channel` then draws through. The Cholesky
+    :meth:`block_tiles` is a view; ``block_size`` is D. Construction checks a
+    raw matrix for finiteness, symmetry and (through :meth:`cholesky`) positive
+    definiteness. :func:`build_row_covariance` checks its own matrix on its
+    tile table and Kronecker spectrum, and passes the square root ``_root``
+    that :func:`sample_channel` draws through. The Cholesky
     factor is taken of ``matrix.T``, which LAPACK reads without a transposing
     copy; it is the factor of ``matrix`` wherever that is exactly symmetric,
     as :func:`build_row_covariance`'s is, and otherwise that of the symmetric
@@ -282,12 +291,12 @@ class RowCovariance:
         _count(self.block_size, "block_size", 1)
         if m.shape[0] % self.block_size != 0:
             raise ValueError("matrix size must be a multiple of block_size")
-        scale = max(1.0, float(m.max()), float(-m.min()))
-        # An inf entry makes scale inf and a NaN entry the asymmetry NaN: both fail.
-        if not (np.isfinite(scale) and _max_asymmetry(m) <= SYMMETRY_RTOL * scale):
-            raise ValueError("covariance is not finite and symmetric to relative 1e-12")
         object.__setattr__(self, "matrix", m)
         if self._root is None:
+            scale = max(1.0, float(m.max()), float(-m.min()))
+            # An inf entry makes scale inf and a NaN entry the asymmetry NaN: both fail.
+            if not (np.isfinite(scale) and _max_asymmetry(m) <= SYMMETRY_RTOL * scale):
+                raise ValueError("covariance is not finite and symmetric to relative 1e-12")
             self.cholesky()
 
     @property
@@ -370,18 +379,18 @@ def split_triplet_tiles(matrix: np.ndarray, block_size: int) -> CovarianceTiles:
     )
 
 
-def _squared_lags(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Matrix of (x_i - y_j)^2, built in place in ``out`` or in one new array."""
-    lags = np.subtract.outer(x, y, out=out)
-    lags *= lags
-    return lags
+def _kernel(sq: np.ndarray, length_scale: float) -> np.ndarray:
+    """exp(-sq / (2 l^2)) of squared lags, in place; a quotient overflowing to -inf gives 0."""
+    np.negative(sq, out=sq)
+    with np.errstate(over="ignore"):
+        sq /= 2.0 * length_scale**2
+    return np.exp(sq, out=sq)
 
 
 def _kernel_eigh(n: int, length_scale: float) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of the 1-D squared-exponential kernel on 0..n-1."""
     x = np.arange(n, dtype=float)
-    lags = _squared_lags(x, x)
-    return np.linalg.eigh(np.exp(-lags / (2.0 * length_scale**2)))
+    return np.linalg.eigh(_kernel(np.subtract.outer(x, x) ** 2, length_scale))
 
 
 def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
@@ -389,6 +398,10 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
 
     Entry ((i,a),(j,b)) is ``exp(-||pos(i,a) - pos(j,b)||^2 / (2 l^2))`` on
     the absolute cell grid, plus ``jitter`` on the diagonal.
+
+    The kernel is stationary over the block lattice, so the matrix is one copy
+    of a table t[dR, a, dC, b] of its (2H-1)(2W-1) distinct D x D tiles, one
+    per block offset, on which finiteness and exact symmetry are checked.
 
     The cells fill an n_r x n_c rectangle (n_r = H * block_rows, n_c =
     W * block_cols) and the kernel factors over its two axes, so U is a
@@ -399,31 +412,32 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
     (max(Lambda_r (x) Lambda_c, 0) + jitter)^(1/2) that :func:`sample_channel`
     draws through. U must be positive definite on that clipped spectrum.
     """
-    rows, cols = grid.cell_positions().T
-    n_r, n_c = grid.height_blocks * grid.block_rows, grid.width_blocks * grid.block_cols
+    h, w, d = grid.height_blocks, grid.width_blocks, grid.block_cells
+    n_r, n_c = h * grid.block_rows, w * grid.block_cols
     lam_r, q_r = _kernel_eigh(n_r, kernel.length_scale)
     lam_c, q_c = _kernel_eigh(n_c, kernel.length_scale)
     spectrum = np.maximum(np.outer(lam_r, lam_c), 0.0) + kernel.jitter
     failed = np.count_nonzero(spectrum <= 0.0)
     if failed:
         raise NotPositiveDefiniteError(failed, f"{failed} kernel eigenvalues are not positive")
-    u = np.empty((len(rows), len(rows)))
-    chunk = max(1, SETUP_CHUNK_BYTES // u[0].nbytes)
-    for start in range(0, len(u), chunk):
-        # squared distances are exact integers however they are summed, and the
-        # negate, divide and exp below run in the order of exp(-sq / (2 l^2)),
-        # so every entry is bit-identical to that formula (run_grid's clique
-        # tiles are read from it)
-        part = slice(start, start + chunk)
-        block = _squared_lags(rows[part], rows, out=u[part])
-        block += _squared_lags(cols[part], cols)
-        np.negative(block, out=block)
-        block /= 2.0 * kernel.length_scale**2
-        np.exp(block, out=block)
-    u[np.diag_indices_from(u)] += kernel.jitter
+    # lags from cell a of a block to cell b of the block dR rows and dC columns on: their
+    # squares sum to exact integers and _kernel runs exp(-sq / (2 l^2)) as written, so every
+    # entry is bit-identical to that formula (run_grid's clique tiles are read from it)
+    r, c = np.divmod(np.arange(d, dtype=float), grid.block_cols)
+    row_lag = np.arange(1 - h, h)[:, None, None, None] * grid.block_rows + r - r[:, None, None]
+    col_lag = np.arange(1 - w, w)[:, None] * grid.block_cols + c - c[:, None, None]
+    t = _kernel(row_lag**2 + col_lag**2, kernel.length_scale)
+    t[h - 1, :, w - 1, :][np.diag_indices(d)] += kernel.jitter
+    # u is a copy of t, so t's checks are exactly u's
+    if not (np.isfinite(t).all() and np.array_equal(t, t[::-1, :, ::-1].transpose(0, 3, 2, 1))):
+        raise ValueError("covariance is not finite and symmetric to relative 1e-12")
+    # windows[h-1-R_i, a, w-1-C_i, b, R_j, C_j] is the entry of blocks (R_i, C_i), (R_j, C_j)
+    windows = sliding_window_view(t, (h, w), axis=(0, 2))
+    u = np.ascontiguousarray(windows[::-1, :, ::-1].transpose(0, 2, 1, 4, 5, 3))
+    rows, cols = grid.cell_positions().T
     order = (rows * n_c + cols).astype(np.intp)
     root = _KroneckerRoot(q_r, q_c, np.sqrt(spectrum), order)
-    cov = RowCovariance(u, grid.block_cells, _root=root)
+    cov = RowCovariance(u.reshape(h * w * d, -1), d, _root=root)
     cov._set_eigenvalues(np.outer(lam_r, lam_c).ravel() + kernel.jitter)
     return cov
 

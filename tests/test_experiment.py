@@ -336,6 +336,10 @@ def test_cli_demo_rejects_out(tmp_path, capsys):
 def test_cli_rejects_unparsable_flag_values(capsys):
     assert cli_main(["demo", "--snr", "10", "--antennas", "2.5"]) == 1
     assert cli_main(["sweep", "--lengthscale", "abc"]) == 1
+    # 2 l^2 overflows, or underflows to 0: rejected as config errors, not raised past the CLI
+    for length_scale in ("1e300", "1e-200"):
+        assert cli_main(["demo", "--snr", "10", "--lengthscale", length_scale]) == 1
+    assert "length_scale" in capsys.readouterr().err
 
 
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):

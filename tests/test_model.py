@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from mra_sync import (
     sample_pose_set,
     split_triplet_tiles,
 )
-from mra_sync.model import _max_asymmetry
+from mra_sync.model import SETUP_CHUNK_BYTES, _max_asymmetry
 
 
 def test_grid_block_position_bijection():
@@ -105,6 +107,22 @@ def test_kernel_rejects_nan_jitter():
         KernelSpec(1.0, jitter=math.nan)
 
 
+def test_kernel_rejects_length_scales_it_cannot_evaluate():
+    # 2 l^2 overflows (1e300, inf) or underflows to 0 (1e-200)
+    for length_scale in (1e300, 1e-200, math.inf, math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="length_scale"):
+            KernelSpec(length_scale)
+
+
+def test_covariance_tiny_length_scale_builds_the_delta_kernel_without_warnings():
+    # 2 l^2 is a subnormal float here, and -sq / (2 l^2) overflows to -inf off the diagonal
+    grid = GridSpec(2, 3, 2, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cov = build_row_covariance(grid, KernelSpec(1e-160))
+    assert np.array_equal(cov.matrix, np.eye(cov.size) * (1.0 + 1e-9))
+
+
 def test_covariance_constant_kernel_limit():
     grid = GridSpec(2, 2, 2, 2, 2)
     cov = build_row_covariance(grid, KernelSpec(1e8, jitter=1e-6))
@@ -135,7 +153,9 @@ COVARIANCE_GRIDS = [
     GridSpec(1, 7, 2, 2, 3),
     GridSpec(1, 1, 3, 4, 2),
     GridSpec(4, 3, 2, 3, 2),
-    GridSpec(12, 12, 3, 4, 2),  # N*D = 1728: several row chunks and symmetry tiles
+    GridSpec(12, 12, 3, 4, 2),  # N*D = 1728
+    GridSpec(5, 1, 2, 3, 2),  # one lattice column: a single column offset
+    GridSpec(3, 4, 1, 1, 2),  # single-cell blocks: 1 x 1 tiles
 ]
 
 
@@ -152,6 +172,7 @@ def test_covariance_bit_equal_to_einsum_formula(grid, length_scale):
     expected[np.diag_indices_from(expected)] += kernel.jitter
     cov = build_row_covariance(grid, kernel)
     assert np.array_equal(cov.matrix.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(cov.matrix, cov.matrix.T)
     factor, info = lapack.dpotrf(expected, lower=1, clean=1)
     assert info == 0 and cov.cholesky().tobytes() == factor.tobytes()
 
@@ -176,6 +197,19 @@ def test_covariance_build_keeps_its_failure_semantics():
     build_row_covariance(GridSpec(6, 6, 3, 4, 2), KernelSpec(1.3, jitter=0.0)).cholesky()
     with pytest.raises(ValueError, match="not finite"):
         build_row_covariance(GridSpec(2, 2, 2, 2, 2), KernelSpec(3.0, jitter=math.inf))
+
+
+def test_covariance_build_allocates_no_square_temporary():
+    # the filled matrix, plus temporaries of at most SETUP_CHUNK_BYTES
+    grid = GridSpec(12, 12, 3, 4, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cov = build_row_covariance(grid, KernelSpec(5.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < cov.matrix.nbytes + 2 * SETUP_CHUNK_BYTES
 
 
 @pytest.mark.parametrize("n", [1, 5, 511, 513, 1100])
