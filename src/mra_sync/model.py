@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, Sequence
 
@@ -262,46 +262,61 @@ class _KroneckerRoot(NamedTuple):
         return x.reshape(n_r * n_c, -1)[self.order]
 
 
-@dataclass(frozen=True, eq=False)
 class RowCovariance:
     """SPD row covariance of the stacked signal, with block-aware slicing.
 
-    ``matrix`` is (N*D) x (N*D), stored C-contiguous so that
-    :meth:`block_tiles` is a view; ``block_size`` is D. Construction checks a
-    raw matrix for finiteness, symmetry and (through :meth:`cholesky`) positive
-    definiteness. :func:`build_row_covariance` checks its own matrix on its
-    tile table and Kronecker spectrum, and passes the square root ``_root``
-    that :func:`sample_channel` draws through. The Cholesky
-    factor is taken of ``matrix.T``, which LAPACK reads without a transposing
-    copy; it is the factor of ``matrix`` wherever that is exactly symmetric,
-    as :func:`build_row_covariance`'s is, and otherwise that of the symmetric
-    matrix given by the upper triangle.
+    ``matrix`` is the (N*D) x (N*D) C-contiguous array and ``block_size`` is
+    D. Construction from a raw matrix keeps it and checks it for finiteness,
+    symmetry and (through :meth:`cholesky`) positive definiteness.
+    :func:`build_row_covariance` instead gives its table of distinct block
+    tiles, checked there, the square root ``_root`` that
+    :func:`sample_channel` draws through and the spectrum; ``matrix`` is
+    formed from the table on first request and then kept. :meth:`submatrix`
+    and :func:`~mra_sync.sync.run_grid`'s clique operators read the table,
+    so they never form it. The Cholesky factor is taken of ``matrix.T``,
+    which LAPACK reads without a transposing copy; it is the factor of
+    ``matrix`` wherever that is exactly symmetric, as a built one is, and
+    otherwise that of the symmetric matrix given by the upper triangle.
+    Instances are immutable.
     """
 
-    matrix: np.ndarray
-    block_size: int
-    _root: _KroneckerRoot | None = field(default=None, repr=False, kw_only=True)
-    _chol: np.ndarray | None = field(init=False, repr=False, default=None)
-    _eigenvalues: np.ndarray | None = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("covariance must be a square matrix")
-        _count(self.block_size, "block_size", 1)
-        if m.shape[0] % self.block_size != 0:
+    def __init__(self, matrix, block_size: int, *, _table=None, _root=None):
+        if _table is None:
+            matrix = np.ascontiguousarray(matrix, dtype=float)
+            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+                raise ValueError("covariance must be a square matrix")
+            size = matrix.shape[0]
+        else:
+            size = (_table.shape[0] + 1) // 2 * ((_table.shape[2] + 1) // 2) * block_size
+        _count(block_size, "block_size", 1)
+        if size % block_size != 0:
             raise ValueError("matrix size must be a multiple of block_size")
-        object.__setattr__(self, "matrix", m)
-        if self._root is None:
-            scale = max(1.0, float(m.max()), float(-m.min()))
+        for name, value in (
+            ("block_size", block_size), ("size", size), ("_matrix", matrix), ("_table", _table),
+            ("_root", _root), ("_chol", None), ("_eigenvalues", None),
+        ):
+            object.__setattr__(self, name, value)
+        if _table is None:
+            scale = max(1.0, float(matrix.max()), float(-matrix.min()))
             # An inf entry makes scale inf and a NaN entry the asymmetry NaN: both fail.
-            if not (np.isfinite(scale) and _max_asymmetry(m) <= SYMMETRY_RTOL * scale):
+            if not (np.isfinite(scale) and _max_asymmetry(matrix) <= SYMMETRY_RTOL * scale):
                 raise ValueError("covariance is not finite and symmetric to relative 1e-12")
             self.cholesky()
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: RowCovariance is immutable")
+
     @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """The dense (N*D) x (N*D) covariance; a built one is formed on first request, then kept."""
+        if self._matrix is None:
+            t = self._table
+            h, w = (t.shape[0] + 1) // 2, (t.shape[2] + 1) // 2
+            # windows[h-1-R_i, a, w-1-C_i, b, R_j, C_j]: the entry of blocks (R_i, C_i), (R_j, C_j)
+            windows = sliding_window_view(t, (h, w), axis=(0, 2))
+            u = np.ascontiguousarray(windows[::-1, :, ::-1].transpose(0, 2, 1, 4, 5, 3))
+            object.__setattr__(self, "_matrix", u.reshape(self.size, -1))
+        return self._matrix
 
     @property
     def n_blocks(self) -> int:
@@ -329,10 +344,21 @@ class RowCovariance:
         values.setflags(write=False)
         object.__setattr__(self, "_eigenvalues", values)
 
-    def block_tiles(self) -> np.ndarray:
-        """``matrix`` as an (N, D, N, D) view: ``[i, :, j, :]`` is the D x D tile of blocks i, j."""
-        n, d = self.n_blocks, self.block_size
-        return self.matrix.reshape(n, d, n, d)
+    def _tiles(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The tile id of every block pair of the broadcast index arrays ``rows``, ``cols``,
+        and the (P, D, Q, D) ``table`` whose ``[id // Q, :, id % Q, :]`` is that pair's D x D
+        tile of ``matrix``.
+
+        A built covariance reads its tile table, where the id is the pair's block
+        offset, so pairs at one offset share it; a raw one reads ``matrix``
+        as (N, D, N, D), where the id of blocks (i, j) is i * N + j.
+        """
+        if self._table is None:
+            n, d = self.n_blocks, self.block_size
+            return rows * n + cols, self._matrix.reshape(n, d, n, d)
+        h, w = (self._table.shape[0] + 1) // 2, (self._table.shape[2] + 1) // 2
+        (r_i, c_i), (r_j, c_j) = np.divmod(rows, w), np.divmod(cols, w)
+        return (r_j - r_i + h - 1) * (2 * w - 1) + c_j - c_i + w - 1, self._table
 
     def submatrix(self, blocks: Sequence[int]) -> np.ndarray:
         """Principal submatrix at the given block indices, in the given order."""
@@ -340,9 +366,11 @@ class RowCovariance:
         outside = (blocks < 0) | (blocks >= self.n_blocks)
         if outside.any():
             raise InvalidTripletError(f"block index {blocks[outside][0]} out of range")
-        d = self.block_size
-        idx = np.concatenate([np.arange(b * d, (b + 1) * d) for b in blocks])
-        return self.matrix[np.ix_(idx, idx)]
+        ids, table = self._tiles(blocks[:, None], blocks)
+        q = table.shape[2]
+        # (J, J, D, D) tiles, laid out as rows (J, D) by columns (J, D)
+        tiles = table[ids // q, :, ids % q, :]
+        return tiles.transpose(0, 2, 1, 3).reshape(len(blocks) * self.block_size, -1)
 
 
 class CovarianceTiles(NamedTuple):
@@ -399,9 +427,12 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
     Entry ((i,a),(j,b)) is ``exp(-||pos(i,a) - pos(j,b)||^2 / (2 l^2))`` on
     the absolute cell grid, plus ``jitter`` on the diagonal.
 
-    The kernel is stationary over the block lattice, so the matrix is one copy
-    of a table t[dR, a, dC, b] of its (2H-1)(2W-1) distinct D x D tiles, one
-    per block offset, on which finiteness and exact symmetry are checked.
+    The kernel is stationary over the block lattice, so the covariance is
+    held as a table t[dR, a, dC, b] of its (2H-1)(2W-1) distinct D x D
+    tiles, one per block offset, on which finiteness and exact symmetry are
+    checked. Submatrices, and so :func:`~mra_sync.sync.run_grid`'s clique
+    operators, are read from the table; the dense matrix is one copy of it,
+    formed only when :attr:`RowCovariance.matrix` is first requested.
 
     The cells fill an n_r x n_c rectangle (n_r = H * block_rows, n_c =
     W * block_cols) and the kernel factors over its two axes, so U is a
@@ -428,16 +459,13 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
     col_lag = np.arange(1 - w, w)[:, None] * grid.block_cols + c - c[:, None, None]
     t = _kernel(row_lag**2 + col_lag**2, kernel.length_scale)
     t[h - 1, :, w - 1, :][np.diag_indices(d)] += kernel.jitter
-    # u is a copy of t, so t's checks are exactly u's
+    # matrix, formed on request, is a copy of t, so t's checks are exactly its checks
     if not (np.isfinite(t).all() and np.array_equal(t, t[::-1, :, ::-1].transpose(0, 3, 2, 1))):
         raise ValueError("covariance is not finite and symmetric to relative 1e-12")
-    # windows[h-1-R_i, a, w-1-C_i, b, R_j, C_j] is the entry of blocks (R_i, C_i), (R_j, C_j)
-    windows = sliding_window_view(t, (h, w), axis=(0, 2))
-    u = np.ascontiguousarray(windows[::-1, :, ::-1].transpose(0, 2, 1, 4, 5, 3))
     rows, cols = grid.cell_positions().T
     order = (rows * n_c + cols).astype(np.intp)
     root = _KroneckerRoot(q_r, q_c, np.sqrt(spectrum), order)
-    cov = RowCovariance(u.reshape(h * w * d, -1), d, _root=root)
+    cov = RowCovariance(None, d, _table=t, _root=root)
     cov._set_eigenvalues(np.outer(lam_r, lam_c).ravel() + kernel.jitter)
     return cov
 

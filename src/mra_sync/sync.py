@@ -437,27 +437,41 @@ def _clique_index(cliques, size: int, n_blocks: int):
 def _distinct_covariances(cov: RowCovariance, index: np.ndarray):
     """Group the (C, J) cliques ``index`` by the content of their covariance submatrices.
 
-    Returns each clique's group number and one ``cov.submatrix`` per group,
-    taken at its first clique. Each clique is keyed by the bytes of its
-    (J, J, D, D) block tiles, a fixed permutation of its submatrix, so equal
-    keys mean equal submatrices on any covariance, stationary or not. The
-    tiles come from one fancy index of :meth:`RowCovariance.block_tiles` per
-    chunk of whole cliques, with no chunk above ``GATHER_CHUNK_BYTES``.
+    Returns each clique's group number, numbered in order of first
+    appearance, and one ``cov.submatrix`` per group, taken at its first
+    clique. Cliques are first grouped by the (J, J) tile ids of their block
+    pairs, with one ``np.unique``: on a covariance from
+    :func:`~mra_sync.model.build_row_covariance` an id is a block offset, so
+    a stationary lattice has two patterns per clique kind, and on a raw
+    matrix an id is the block pair, so every clique is its own pattern.
+    Then one clique per pattern is keyed by the bytes of its (J, J, D, D)
+    block tiles, a fixed permutation of its submatrix, so equal keys mean
+    equal submatrices on any covariance, stationary or not. The tiles come
+    from one fancy index of the tile table per chunk of whole cliques, with
+    no chunk above ``GATHER_CHUNK_BYTES``.
     """
-    tiles = cov.block_tiles()
-    j, d = index.shape[1], cov.block_size
-    rows = max(1, GATHER_CHUNK_BYTES // (tiles.itemsize * (j * d) ** 2))
-    groups, which = {}, np.empty(len(index), dtype=int)
-    for start in range(0, len(index), rows):
-        chunk = index[start : start + rows]
-        # (rows, J, J, D, D): tile [c, p, q] couples blocks chunk[c, p] and chunk[c, q];
+    c, j = index.shape
+    ids, table = cov._tiles(index[:, :, None], index[:, None, :])
+    patterns, first_clique, pattern_of = np.unique(
+        ids.reshape(c, -1), axis=0, return_index=True, return_inverse=True
+    )
+    # patterns in order of their first clique, so groups number as in clique order
+    order = np.argsort(first_clique)
+    q, d = table.shape[2], cov.block_size
+    rows = max(1, GATHER_CHUNK_BYTES // (table.itemsize * (j * d) ** 2))
+    groups, group_of = {}, np.empty(len(patterns), dtype=int)
+    for start in range(0, len(order), rows):
+        chunk = order[start : start + rows]
+        pattern = patterns[chunk].reshape(-1, j, j)
+        # (rows, J, J, D, D): tile [k, a, b] couples blocks a and b of pattern k's cliques;
         # the comprehension frees each chunk before the next is gathered
-        which[start : start + rows] = [
+        group_of[chunk] = [
             groups.setdefault(clique_tiles.tobytes(), len(groups))
-            for clique_tiles in tiles[chunk[:, :, None], :, chunk[:, None, :], :]
+            for clique_tiles in table[pattern // q, :, pattern % q, :]
         ]
+    which = group_of[pattern_of.ravel()]
     firsts = np.unique(which, return_index=True)[1]
-    return which, [cov.submatrix(index[c]) for c in firsts]
+    return which, [cov.submatrix(index[k]) for k in firsts]
 
 
 def _metrics(estimates: ChannelField, truth: ChannelField):
@@ -502,9 +516,12 @@ def run_grid(
     U_sub, and the refinement's residual scale and tiles are built once per
     distinct submatrix and shared by its cliques; a stationary lattice has
     two distinct edge and two distinct triplet submatrices. They are found
-    by one chunked tile-wise gather of every clique's D x D tiles, keyed by
-    content (so any SPD covariance, stationary or not, gets the right
-    ones), with one ``cov.submatrix`` call per distinct submatrix. Before
+    by grouping the cliques by the tile ids of their block pairs, then
+    keying one clique per group by the content of its D x D tiles in one
+    chunked gather (so any SPD covariance, stationary or not, gets the right
+    ones), with one ``cov.submatrix`` call per distinct submatrix. On a
+    built covariance the tiles come from its table of block-offset tiles,
+    so the dense matrix is never formed. Before
     the gather, a clique that is not J integers or repeats a block raises
     ``InvalidTripletError``, one naming a block outside the grid
     ``CoverageError``. Denoising and averaging are one stacked pass over

@@ -11,6 +11,7 @@ from mra_sync import (
     GridSpec,
     KernelSpec,
     ResultRow,
+    RowCovariance,
     SolverError,
     default_config,
     emit_csv,
@@ -49,6 +50,18 @@ def test_sigma_from_snr_db():
     assert sigma_from_snr_db(20.0) == pytest.approx(0.1, rel=1e-12)
     # SNR bookkeeping: -20 log10(sigma) inverts the mapping
     assert -20.0 * math.log10(sigma_from_snr_db(7.3)) == pytest.approx(7.3, rel=1e-12)
+
+
+def test_run_sweep_never_forms_the_dense_covariance(monkeypatch):
+    # every estimator, the single-block line and the ideal line read the built
+    # covariance's tile table and spectrum only
+    def no_dense(self):
+        raise AssertionError("the dense covariance was formed")
+
+    monkeypatch.setattr(RowCovariance, "matrix", property(no_dense))
+    rows = run_sweep(tiny_config(snr_db_list=(10.0,), seeds=1))
+    assert [r.method for r in rows] == list(tiny_config().methods)
+    assert all(math.isfinite(r.nmse_db) for r in rows)
 
 
 def test_row_counts_single_cell():

@@ -318,13 +318,30 @@ def test_subslice_accepts_numpy_integer_indices(default_cov, rng):
     assert np.array_equal(default_cov.submatrix(triple), default_cov.submatrix(triple.tolist()))
 
 
-def test_block_tiles_is_a_view_of_the_matrix(default_cov):
-    n, d = default_cov.n_blocks, default_cov.block_size
-    for cov in (default_cov, RowCovariance(np.asfortranarray(default_cov.matrix), d)):
-        tiles = cov.block_tiles()
-        assert tiles.shape == (n, d, n, d)
-        assert np.shares_memory(tiles, cov.matrix)
-        assert np.array_equal(tiles[1, :, 6, :], cov.submatrix((1, 6))[:d, d:])
+def test_tiles_and_submatrix_are_slices_of_the_matrix():
+    # run_grid's clique operators are read through _tiles: from the tile table of a
+    # built covariance and from the matrix of a raw one, with the matrix's own bytes
+    rng = np.random.default_rng(5)
+    for grid in COVARIANCE_GRIDS:
+        built = build_row_covariance(grid, KernelSpec(1.3))
+        n, d = built.n_blocks, built.block_size
+        raw = RowCovariance(np.asfortranarray(built.matrix), d)
+        blocks = np.arange(n)
+        for cov in (built, raw):
+            ids, table = cov._tiles(blocks[:, None], blocks)
+            q = table.shape[2]
+            expected = cov.matrix.reshape(n, d, n, d).transpose(0, 2, 1, 3)
+            assert table[ids // q, :, ids % q, :].tobytes() == expected.tobytes()
+            for size in sorted({1, 2, min(3, n), n}):
+                pick = rng.permutation(n)[:size]
+                idx = (pick[:, None] * d + np.arange(d)).ravel()
+                assert cov.submatrix(pick).tobytes() == cov.matrix[np.ix_(idx, idx)].tobytes()
+        # a raw id names the block pair, a built one the block offset
+        assert np.array_equal(raw._tiles(blocks[:, None], blocks)[0], blocks[:, None] * n + blocks)
+        r, c = np.divmod(blocks, grid.width_blocks)
+        offsets = list(zip((r - r[:, None]).ravel(), (c - c[:, None]).ravel()))
+        built_ids = built._tiles(blocks[:, None], blocks)[0].ravel()
+        assert len(set(zip(built_ids, offsets))) == len(set(built_ids)) == len(set(offsets))
 
 
 def test_subslice_random_triples_are_spd(default_cov, rng):

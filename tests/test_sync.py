@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 import mra_sync.sync as sync_module
-from mra_sync.sync import _alternate_stack
+from mra_sync.sync import _alternate_stack, _distinct_covariances
 from mra_sync import (
     ChannelField,
     CovarianceTiles,
@@ -386,7 +386,7 @@ def test_run_grid_rejects_malformed_cliques_before_gathering(monkeypatch):
     grid = GridSpec(2, 2, 2, 2, 2)
     cov = build_row_covariance(grid, KernelSpec(3.0))
     obs, _, _, _ = make_instance(grid, cov, 10.0, 0)
-    monkeypatch.setattr(RowCovariance, "block_tiles", no_work)
+    monkeypatch.setattr(RowCovariance, "_tiles", no_work)
     monkeypatch.setattr(RowCovariance, "submatrix", no_work)
     cases = (
         # a negative index would wrap silently in a fancy index
@@ -432,6 +432,52 @@ def test_run_grid_gathers_clique_covariances_in_small_chunks():
     assert peak - before < 2**20 + 2**18
 
 
+def test_distinct_covariances_group_built_and_raw_covariances_alike(default_grid, default_cov):
+    # a built covariance groups cliques by block offset, a raw one by block pair:
+    # the groups, their numbering and their submatrices must not differ
+    strip, column = GridSpec(1, 7, 3, 4, 3), GridSpec(5, 1, 2, 3, 2)
+    cases = [(default_grid, default_cov)]
+    cases += [(grid, build_row_covariance(grid, KernelSpec(5.0))) for grid in (strip, column)]
+    for grid, cov in cases:
+        raw = RowCovariance(cov.matrix.copy(), grid.block_cells)
+        for cliques in (lattice_edges(grid), build_triplet_tiling(grid).triplets):
+            index = np.array(cliques)
+            which, subs = _distinct_covariances(cov, index)
+            raw_which, raw_subs = _distinct_covariances(raw, index)
+            assert np.array_equal(which, raw_which)
+            assert [sub.tobytes() for sub in subs] == [sub.tobytes() for sub in raw_subs]
+            for k, clique in zip(which, index):
+                assert subs[k].tobytes() == cov.submatrix(clique).tobytes()
+    # non-stationary: cliques at one block offset differ, and no two are merged
+    scale = np.linspace(0.5, 2.0, default_cov.size)
+    scaled = RowCovariance(scale[:, None] * default_cov.matrix * scale, default_grid.block_cells)
+    for cliques in (lattice_edges(default_grid), build_triplet_tiling(default_grid).triplets):
+        index = np.array(cliques)
+        which, subs = _distinct_covariances(scaled, index)
+        assert len(subs) == len(index)
+        for k, clique in zip(which, index):
+            assert subs[k].tobytes() == scaled.submatrix(clique).tobytes()
+
+
+def test_run_grid_scales_past_a_dense_covariance_that_would_not_fit():
+    # N*D = 19 200: the dense covariance would take 2.9 GB, its tile table takes 7 MB
+    grid = GridSpec(40, 40, 3, 4, 2)
+    tracemalloc.start()
+    try:
+        cov = build_row_covariance(grid, KernelSpec(5.0))
+        obs, effective, _, _ = make_instance(grid, cov, 10.0, 0)
+        reports = [
+            run_grid(method, obs, cov, grid, ground_truth=effective)
+            for method in ("pairwise", "sync_base")
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cov._matrix is None
+    assert peak < 64 * 2**20
+    assert all(report.nmse_db < -15.0 for report in reports)
+
+
 def test_run_grid_rejects_unknown_method(default_grid, default_cov):
     obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 0)
     with pytest.raises(ValueError):
@@ -467,7 +513,7 @@ def test_run_grid_rejects_mismatched_shapes(default_grid, default_cov, monkeypat
     for name in ("negated_noisy_inverse", "_smoother", "_noisy_cholesky"):
         monkeypatch.setattr(sync_module, name, no_work)
     monkeypatch.setattr(RowCovariance, "submatrix", no_work)
-    monkeypatch.setattr(RowCovariance, "block_tiles", no_work)
+    monkeypatch.setattr(RowCovariance, "_tiles", no_work)
     obs, _, _, _ = make_instance(default_grid, default_cov, 10.0, 0)
     wide_obs, _, _, _ = make_instance(GridSpec(6, 6, 3, 4, 3), default_cov, 10.0, 0)
     small_cells = build_row_covariance(GridSpec(6, 6, 2, 3, 2), KernelSpec(5.0))
