@@ -30,7 +30,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import cho_solve, lapack
 
 from .procrustes import ROTATION_TOL, _check_rotation
 
@@ -53,30 +52,17 @@ __all__ = [
     "log_prior_density",
 ]
 
-SYMMETRY_RTOL = 1e-12
-
-# A freed array of a few MiB raises glibc's dynamic mmap threshold for the rest
-# of the process and so changes the speed of later allocations. No temporary of
-# a covariance build on the bench's grids, and no tile that _max_asymmetry
-# checks, holds more than this many bytes.
-SETUP_CHUNK_BYTES = 2**21
-
 
 class NotPositiveDefiniteError(ValueError):
     """A covariance is not positive definite.
 
-    ``minor_index`` is the 1-based order of the offending leading minor as
-    reported by the Cholesky routine or, from :func:`build_row_covariance`'s
-    Kronecker spectrum, the number of eigenvalues that are not positive.
+    ``minor_index`` is the number of eigenvalues of the Kronecker spectrum
+    from :func:`build_row_covariance` that are not positive.
     """
 
-    def __init__(self, minor_index: int, message: str | None = None):
+    def __init__(self, minor_index: int):
         self.minor_index = minor_index
-        super().__init__(
-            message
-            or f"matrix is not positive definite "
-            f"(leading minor of order {minor_index})"
-        )
+        super().__init__(f"{minor_index} kernel eigenvalues are not positive")
 
 
 class InvalidTripletError(ValueError):
@@ -124,38 +110,6 @@ def _block_index(cliques, size: int) -> np.ndarray:
     return index
 
 
-def _max_asymmetry(matrix: np.ndarray) -> float:
-    """max |matrix - matrix.T|, NaN if any compared entry is NaN.
-
-    Compares each square tile above the diagonal, and each diagonal tile,
-    with its mirror image; a tile holds at most ``SETUP_CHUNK_BYTES``.
-    """
-    n = len(matrix)
-    side = math.isqrt(SETUP_CHUNK_BYTES // matrix.itemsize)
-    worst = []
-    for i in range(0, n, side):
-        for j in range(i, n, side):
-            diff = matrix[i : i + side, j : j + side] - matrix[j : j + side, i : i + side].T
-            np.abs(diff, out=diff)
-            worst.append(diff.max())
-    # np.max, unlike the builtin max, propagates NaN
-    return float(np.max(worst))
-
-
-def _cholesky_lower(matrix: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, raising NotPositiveDefiniteError on failure.
-
-    ``dpotrf`` gets the Fortran-ordered view ``matrix.T``, which it copies
-    as it is; for exactly symmetric input that is the factor of ``matrix``.
-    """
-    c, info = lapack.dpotrf(matrix.T, lower=1, overwrite_a=0, clean=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(info)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of Cholesky")
-    return c
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Dimensions of the block lattice and of the per-block signal.
@@ -189,6 +143,11 @@ class GridSpec:
     @property
     def block_cells(self) -> int:
         return self.block_rows * self.block_cols
+
+    @property
+    def lattice(self) -> tuple[int, int, int, int]:
+        """(height_blocks, width_blocks, block_rows, block_cols): the grid less its antennas."""
+        return self.height_blocks, self.width_blocks, self.block_rows, self.block_cols
 
     def block_position(self, index: int) -> tuple[int, int]:
         """Lattice (row, col) of a block index."""
@@ -261,59 +220,49 @@ class _KroneckerRoot(NamedTuple):
         x = self.cols @ (self.rows @ w).reshape(n_r, n_c, -1)
         return x.reshape(n_r * n_c, -1)[self.order]
 
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """(Q_r (x) Q_c)^T P^T x for an (n_r * n_c, k) array x, as an (n_r, n_c, k) array:
+        x in the eigenbasis of U, as Q_r^T X Q_c per column."""
+        n_r, n_c = self.scale.shape
+        y = np.empty_like(x)
+        y[self.order] = x
+        return self.cols.T @ (self.rows.T @ y.reshape(n_r, -1)).reshape(n_r, n_c, -1)
+
 
 class RowCovariance:
-    """SPD row covariance of the stacked signal, with block-aware slicing.
+    """SPD row covariance of the stacked signal of one lattice, with block-aware slicing.
 
-    ``matrix`` is the (N*D) x (N*D) C-contiguous array and ``block_size`` is
-    D. Construction from a raw matrix keeps it and checks it for finiteness,
-    symmetry and (through :meth:`cholesky`) positive definiteness.
-    :func:`build_row_covariance` instead gives its table of distinct block
-    tiles, checked there, the square root ``_root`` that
-    :func:`sample_channel` draws through and the spectrum; ``matrix`` is
-    formed from the table on first request and then kept. :meth:`submatrix`
-    and :func:`~mra_sync.sync.run_grid`'s clique operators read the table,
-    so they never form it. The Cholesky factor is taken of ``matrix.T``,
-    which LAPACK reads without a transposing copy; it is the factor of
-    ``matrix`` wherever that is exactly symmetric, as a built one is, and
-    otherwise that of the symmetric matrix given by the upper triangle.
-    Instances are immutable.
+    Only :func:`build_row_covariance` makes one, and checks it there.
+    ``lattice`` is the (height_blocks, width_blocks, block_rows, block_cols)
+    of the grid it was built for, ``block_size`` is D and ``size`` N*D. It
+    holds the table of distinct block tiles, the square root ``_root`` that
+    :func:`sample_channel` and :func:`log_prior_density` work through, and
+    the spectrum. ``matrix`` is formed from the table on first request and
+    then kept; :meth:`submatrix` and :func:`~mra_sync.sync.run_grid`'s
+    clique operators read the table, so they never form it. Instances are
+    immutable.
     """
 
-    def __init__(self, matrix, block_size: int, *, _table=None, _root=None):
-        if _table is None:
-            matrix = np.ascontiguousarray(matrix, dtype=float)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ValueError("covariance must be a square matrix")
-            size = matrix.shape[0]
-        else:
-            size = (_table.shape[0] + 1) // 2 * ((_table.shape[2] + 1) // 2) * block_size
-        _count(block_size, "block_size", 1)
-        if size % block_size != 0:
-            raise ValueError("matrix size must be a multiple of block_size")
+    def __init__(self, lattice: tuple, table: np.ndarray, root: _KroneckerRoot, eigenvalues):
+        h, w, rows, cols = lattice
+        eigenvalues = np.sort(eigenvalues)
+        eigenvalues.setflags(write=False)
         for name, value in (
-            ("block_size", block_size), ("size", size), ("_matrix", matrix), ("_table", _table),
-            ("_root", _root), ("_chol", None), ("_eigenvalues", None),
+            ("lattice", lattice), ("block_size", rows * cols), ("size", h * w * rows * cols),
+            ("_table", table), ("_root", root), ("_eigenvalues", eigenvalues), ("_matrix", None),
         ):
             object.__setattr__(self, name, value)
-        if _table is None:
-            scale = max(1.0, float(matrix.max()), float(-matrix.min()))
-            # An inf entry makes scale inf and a NaN entry the asymmetry NaN: both fail.
-            if not (np.isfinite(scale) and _max_asymmetry(matrix) <= SYMMETRY_RTOL * scale):
-                raise ValueError("covariance is not finite and symmetric to relative 1e-12")
-            self.cholesky()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r}: RowCovariance is immutable")
 
     @property
     def matrix(self) -> np.ndarray:
-        """The dense (N*D) x (N*D) covariance; a built one is formed on first request, then kept."""
+        """The dense (N*D) x (N*D) covariance, formed on first request and then kept."""
         if self._matrix is None:
-            t = self._table
-            h, w = (t.shape[0] + 1) // 2, (t.shape[2] + 1) // 2
+            h, w = self.lattice[:2]
             # windows[h-1-R_i, a, w-1-C_i, b, R_j, C_j]: the entry of blocks (R_i, C_i), (R_j, C_j)
-            windows = sliding_window_view(t, (h, w), axis=(0, 2))
+            windows = sliding_window_view(self._table, (h, w), axis=(0, 2))
             u = np.ascontiguousarray(windows[::-1, :, ::-1].transpose(0, 2, 1, 4, 5, 3))
             object.__setattr__(self, "_matrix", u.reshape(self.size, -1))
         return self._matrix
@@ -322,43 +271,24 @@ class RowCovariance:
     def n_blocks(self) -> int:
         return self.size // self.block_size
 
-    def cholesky(self) -> np.ndarray:
-        """Lower factor L with L @ L.T == matrix, factored on first use and then kept."""
-        if self._chol is None:
-            object.__setattr__(self, "_chol", _cholesky_lower(self.matrix))
-        return self._chol
-
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of ``matrix`` in ascending order, as a read-only array.
 
-        :func:`build_row_covariance` supplies them from the Kronecker
-        structure of the kernel; any other covariance gets one ``eigvalsh``
-        on first use, which is then kept.
+        :func:`build_row_covariance` sets them from the Kronecker structure of
+        the kernel.
         """
-        if self._eigenvalues is None:
-            self._set_eigenvalues(np.linalg.eigvalsh(self.matrix))
         return self._eigenvalues
 
-    def _set_eigenvalues(self, values: np.ndarray) -> None:
-        values = np.sort(values)
-        values.setflags(write=False)
-        object.__setattr__(self, "_eigenvalues", values)
-
-    def _tiles(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The tile id of every block pair of the broadcast index arrays ``rows``, ``cols``,
-        and the (P, D, Q, D) ``table`` whose ``[id // Q, :, id % Q, :]`` is that pair's D x D
+    def _tile_ids(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The tile id of every block pair of the broadcast index arrays ``rows``, ``cols``:
+        with Q = ``_table.shape[2]``, ``_table[id // Q, :, id % Q, :]`` is that pair's D x D
         tile of ``matrix``.
 
-        A built covariance reads its tile table, where the id is the pair's block
-        offset, so pairs at one offset share it; a raw one reads ``matrix``
-        as (N, D, N, D), where the id of blocks (i, j) is i * N + j.
+        The id is the pair's block offset, so pairs at one offset share it.
         """
-        if self._table is None:
-            n, d = self.n_blocks, self.block_size
-            return rows * n + cols, self._matrix.reshape(n, d, n, d)
-        h, w = (self._table.shape[0] + 1) // 2, (self._table.shape[2] + 1) // 2
+        h, w = self.lattice[:2]
         (r_i, c_i), (r_j, c_j) = np.divmod(rows, w), np.divmod(cols, w)
-        return (r_j - r_i + h - 1) * (2 * w - 1) + c_j - c_i + w - 1, self._table
+        return (r_j - r_i + h - 1) * (2 * w - 1) + c_j - c_i + w - 1
 
     def submatrix(self, blocks: Sequence[int]) -> np.ndarray:
         """Principal submatrix at the given block indices, in the given order."""
@@ -366,10 +296,10 @@ class RowCovariance:
         outside = (blocks < 0) | (blocks >= self.n_blocks)
         if outside.any():
             raise InvalidTripletError(f"block index {blocks[outside][0]} out of range")
-        ids, table = self._tiles(blocks[:, None], blocks)
-        q = table.shape[2]
+        ids = self._tile_ids(blocks[:, None], blocks)
+        q = self._table.shape[2]
         # (J, J, D, D) tiles, laid out as rows (J, D) by columns (J, D)
-        tiles = table[ids // q, :, ids % q, :]
+        tiles = self._table[ids // q, :, ids % q, :]
         return tiles.transpose(0, 2, 1, 3).reshape(len(blocks) * self.block_size, -1)
 
 
@@ -441,7 +371,8 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
     (kept for :meth:`RowCovariance.eigenvalues`), and as the jitter shifts
     them all alike, U = R R^T for the root R = P (Q_r (x) Q_c)
     (max(Lambda_r (x) Lambda_c, 0) + jitter)^(1/2) that :func:`sample_channel`
-    draws through. U must be positive definite on that clipped spectrum.
+    draws through and :func:`log_prior_density` solves with. U must be
+    positive definite on that clipped spectrum.
     """
     h, w, d = grid.height_blocks, grid.width_blocks, grid.block_cells
     n_r, n_c = h * grid.block_rows, w * grid.block_cols
@@ -450,7 +381,7 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
     spectrum = np.maximum(np.outer(lam_r, lam_c), 0.0) + kernel.jitter
     failed = np.count_nonzero(spectrum <= 0.0)
     if failed:
-        raise NotPositiveDefiniteError(failed, f"{failed} kernel eigenvalues are not positive")
+        raise NotPositiveDefiniteError(failed)
     # lags from cell a of a block to cell b of the block dR rows and dC columns on: their
     # squares sum to exact integers and _kernel runs exp(-sq / (2 l^2)) as written, so every
     # entry is bit-identical to that formula (run_grid's clique tiles are read from it)
@@ -461,13 +392,11 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
     t[h - 1, :, w - 1, :][np.diag_indices(d)] += kernel.jitter
     # matrix, formed on request, is a copy of t, so t's checks are exactly its checks
     if not (np.isfinite(t).all() and np.array_equal(t, t[::-1, :, ::-1].transpose(0, 3, 2, 1))):
-        raise ValueError("covariance is not finite and symmetric to relative 1e-12")
+        raise ValueError("covariance tiles are not finite and exactly symmetric")
     rows, cols = grid.cell_positions().T
     order = (rows * n_c + cols).astype(np.intp)
     root = _KroneckerRoot(q_r, q_c, np.sqrt(spectrum), order)
-    cov = RowCovariance(None, d, _table=t, _root=root)
-    cov._set_eigenvalues(np.outer(lam_r, lam_c).ravel() + kernel.jitter)
-    return cov
+    return RowCovariance(grid.lattice, t, root, np.outer(lam_r, lam_c).ravel() + kernel.jitter)
 
 
 def _matrix_stack(matrices, empty: str, mixed: str) -> np.ndarray:
@@ -559,16 +488,13 @@ def sample_channel(cov: RowCovariance, antennas: int, rng) -> ChannelField:
     """Draw one channel field from MN(0, U, I).
 
     The stacked (N*D) x d sample is R @ G for one (N*D, d) standard-normal
-    draw G and a root R R^T = U, so every column is N(0, U): the Kronecker
-    root of a covariance from :func:`build_row_covariance`, else the Cholesky
-    factor. Deterministic for a given rng state; through the Kronecker root
-    also whatever the BLAS thread count.
+    draw G and the Kronecker root R R^T = U, so every column is N(0, U).
+    Deterministic for a given rng state, whatever the BLAS thread count.
     """
     _count(antennas, "antennas", 1)
     rng = np.random.default_rng(rng)
     g = rng.standard_normal((cov.size, antennas))
-    root = cov.cholesky() if cov._root is None else cov._root
-    return ChannelField((root @ g).reshape(cov.n_blocks, cov.block_size, antennas))
+    return ChannelField((cov._root @ g).reshape(cov.n_blocks, cov.block_size, antennas))
 
 
 def sample_pose_set(n_blocks: int, antennas: int, rng) -> PoseSet:
@@ -622,13 +548,17 @@ def log_prior_density(stacked: np.ndarray, cov: RowCovariance) -> float:
     """Log-density of MN(0, U, I) at a stacked (N*D) x d matrix.
 
     Equals -1/2 tr(H^T U^{-1} H) - (d/2) logdet(2 pi U); invariant under
-    right multiplication of H by any orthogonal matrix.
+    right multiplication of H by any orthogonal matrix. Both terms are read
+    in the eigenbasis of the Kronecker root, so no dense matrix is formed.
     """
     h = np.asarray(stacked, dtype=float)
     if h.ndim != 2 or h.shape[0] != cov.size:
         raise ValueError(f"expected a matrix with {cov.size} rows, got {h.shape}")
-    l = cov.cholesky()
-    quad = float(np.sum(h * cho_solve((l, True), h)))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(l))))
+    # U = R R^T with R = P (Q_r (x) Q_c) S: in the eigenbasis W = (Q_r (x) Q_c)^T P^T H,
+    # U is the diagonal mu = S^2, so the dense matrix and its factor are never formed
+    w = cov._root.coefficients(h)
+    mu = cov._root.scale[:, :, None] ** 2
+    quad = float(np.sum(w * w / mu))
+    logdet = float(np.sum(np.log(mu)))
     d = h.shape[1]
     return -0.5 * quad - 0.5 * d * (cov.size * np.log(2.0 * np.pi) + logdet)

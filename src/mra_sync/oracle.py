@@ -62,7 +62,7 @@ def ideal_sync_mse_db(cov: RowCovariance, sigma: float) -> float:
 
     Returns 10 log10(mean(sigma^2 mu / (mu + sigma^2))) over the eigenvalues
     mu of U (``cov.eigenvalues()``, from the separable kernel's two 1-D
-    spectra for a built covariance; see the module docstring). That is
+    spectra; see the module docstring). That is
     tr(mmse_error_covariance(U, sigma)) / (N*D) exactly. The antenna columns
     are i.i.d., so the column count cancels; sigma = 0 reports the
     perfect-observation sentinel -inf, and a negative or NaN sigma raises

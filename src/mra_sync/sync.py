@@ -56,11 +56,6 @@ DEFAULT_MAX_SWEEPS = 8
 DEFAULT_TOL = 1e-10
 DEFAULT_REFINEMENT_ITERS = 4
 
-# A freed array of a few MiB raises glibc's dynamic mmap threshold for the rest
-# of the process and so changes the speed of later allocations; the gather of
-# clique covariances works in chunks of at most this many bytes.
-GATHER_CHUNK_BYTES = 2**20
-
 
 class SolverError(RuntimeError):
     """The local SPD system could not be factorized."""
@@ -435,43 +430,23 @@ def _clique_index(cliques, size: int, n_blocks: int):
 
 
 def _distinct_covariances(cov: RowCovariance, index: np.ndarray):
-    """Group the (C, J) cliques ``index`` by the content of their covariance submatrices.
+    """Group the (C, J) cliques ``index`` by their covariance submatrices.
 
-    Returns each clique's group number, numbered in order of first
-    appearance, and one ``cov.submatrix`` per group, taken at its first
-    clique. Cliques are first grouped by the (J, J) tile ids of their block
-    pairs, with one ``np.unique``: on a covariance from
-    :func:`~mra_sync.model.build_row_covariance` an id is a block offset, so
-    a stationary lattice has two patterns per clique kind, and on a raw
-    matrix an id is the block pair, so every clique is its own pattern.
-    Then one clique per pattern is keyed by the bytes of its (J, J, D, D)
-    block tiles, a fixed permutation of its submatrix, so equal keys mean
-    equal submatrices on any covariance, stationary or not. The tiles come
-    from one fancy index of the tile table per chunk of whole cliques, with
-    no chunk above ``GATHER_CHUNK_BYTES``.
+    Returns each clique's group number, numbered in order of first clique,
+    and one ``cov.submatrix`` per group, taken at its first clique. A group
+    is a (J, J) pattern of the tile ids of a clique's block pairs, found by
+    one ``np.unique``. An id is a block offset, so a stationary lattice has
+    two patterns per clique kind, and equal patterns mean equal submatrices.
     """
-    c, j = index.shape
-    ids, table = cov._tiles(index[:, :, None], index[:, None, :])
-    patterns, first_clique, pattern_of = np.unique(
-        ids.reshape(c, -1), axis=0, return_index=True, return_inverse=True
+    ids = cov._tile_ids(index[:, :, None], index[:, None, :])
+    _, first, pattern_of = np.unique(
+        ids.reshape(len(index), -1), axis=0, return_index=True, return_inverse=True
     )
-    # patterns in order of their first clique, so groups number as in clique order
-    order = np.argsort(first_clique)
-    q, d = table.shape[2], cov.block_size
-    rows = max(1, GATHER_CHUNK_BYTES // (table.itemsize * (j * d) ** 2))
-    groups, group_of = {}, np.empty(len(patterns), dtype=int)
-    for start in range(0, len(order), rows):
-        chunk = order[start : start + rows]
-        pattern = patterns[chunk].reshape(-1, j, j)
-        # (rows, J, J, D, D): tile [k, a, b] couples blocks a and b of pattern k's cliques;
-        # the comprehension frees each chunk before the next is gathered
-        group_of[chunk] = [
-            groups.setdefault(clique_tiles.tobytes(), len(groups))
-            for clique_tiles in table[pattern // q, :, pattern % q, :]
-        ]
-    which = group_of[pattern_of.ravel()]
-    firsts = np.unique(which, return_index=True)[1]
-    return which, [cov.submatrix(index[k]) for k in firsts]
+    # renumber the patterns in order of their first clique
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[pattern_of.ravel()], [cov.submatrix(index[k]) for k in first[order]]
 
 
 def _metrics(estimates: ChannelField, truth: ChannelField):
@@ -498,8 +473,10 @@ def run_grid(
     under them. Blocks covered by several cliques receive the unweighted
     mean of their estimates, which is safe because every local estimate
     targets the same effective channel in the block's own frame. Before any
-    solve, observations, covariance or ``ground_truth`` shaped for another
-    grid raise ``ValueError``, uncovered blocks ``CoverageError``.
+    solve, observations or ``ground_truth`` shaped for another grid, or a
+    covariance built for another lattice (its blocks and cells; the
+    antennas are not part of it), raise ``ValueError``, uncovered blocks
+    ``CoverageError``.
 
     ``iterative`` refines the synchronization base's rotations by one
     warm-started stacked alternation of at most 8 * ``refinement_iters``
@@ -516,13 +493,10 @@ def run_grid(
     U_sub, and the refinement's residual scale and tiles are built once per
     distinct submatrix and shared by its cliques; a stationary lattice has
     two distinct edge and two distinct triplet submatrices. They are found
-    by grouping the cliques by the tile ids of their block pairs, then
-    keying one clique per group by the content of its D x D tiles in one
-    chunked gather (so any SPD covariance, stationary or not, gets the right
-    ones), with one ``cov.submatrix`` call per distinct submatrix. On a
-    built covariance the tiles come from its table of block-offset tiles,
-    so the dense matrix is never formed. Before
-    the gather, a clique that is not J integers or repeats a block raises
+    by grouping the cliques by the block offsets of their block pairs, with
+    one ``cov.submatrix`` call per group, read from the covariance's table
+    of block-offset tiles, so the dense matrix is never formed. Before the
+    grouping, a clique that is not J integers or repeats a block raises
     ``InvalidTripletError``, one naming a block outside the grid
     ``CoverageError``. Denoising and averaging are one stacked pass over
     all cliques, bit for bit :func:`denoise_given_poses` clique by clique.
@@ -538,8 +512,7 @@ def run_grid(
     shapes = [
         ("observation count", obs.n_blocks, n),
         ("observation block shape", obs.block_shape, (d_cells, grid.antennas)),
-        ("covariance block size", cov.block_size, d_cells),
-        ("covariance block count", cov.n_blocks, n),
+        ("covariance lattice", cov.lattice, grid.lattice),
     ]
     if ground_truth is not None:
         shapes += [
@@ -558,7 +531,7 @@ def run_grid(
         cliques = (build_triplet_tiling(grid) if tiling is None else tiling).triplets
     # (cliques, J): the blocks of each clique
     index, counts = _clique_index(cliques, 2 if method == "pairwise" else 3, n)
-    # one covariance submatrix per distinct content; each clique holds the index of its own
+    # one covariance submatrix per pattern of block offsets; each clique holds the index of its own
     which, subs = _distinct_covariances(cov, index)
 
     def local_operator(sub, scale):

@@ -6,7 +6,6 @@ import pytest
 from mra_sync import (
     GridSpec,
     KernelSpec,
-    RowCovariance,
     apply_precoding,
     brute_force_rotation_2d,
     build_row_covariance,
@@ -61,13 +60,13 @@ def test_mmse_symmetric_psd():
         assert np.linalg.eigvalsh(err).min() > -1e-10
 
 
-def test_ideal_sync_identity_case():
-    cov = RowCovariance(np.eye(6), 2)
+def test_ideal_sync_identity_case(identity_cov):
+    cov = identity_cov(3, 2)
     assert ideal_sync_mse_db(cov, 1.0) == pytest.approx(10 * math.log10(0.5), rel=1e-12)
 
 
-def test_ideal_sync_zero_noise_sentinel():
-    cov = RowCovariance(np.eye(4), 2)
+def test_ideal_sync_zero_noise_sentinel(identity_cov):
+    cov = identity_cov(2, 2)
     assert ideal_sync_mse_db(cov, 0.0) == -math.inf
     assert single_channel_mse_db(np.eye(4), 0.0) == -math.inf
 
@@ -103,14 +102,14 @@ def test_kronecker_eigenvalues_match_dense(grid):
         assert np.abs(np.sort(cov.eigenvalues()) - dense).max() < bound
 
 
-def test_ideal_sync_rejects_negative_sigma():
+def test_ideal_sync_rejects_negative_sigma(identity_cov):
     with pytest.raises(ValueError):
-        ideal_sync_mse_db(RowCovariance(np.eye(4), 2), -0.1)
+        ideal_sync_mse_db(identity_cov(2, 2), -0.1)
 
 
-def test_sigma_checks_reject_nan():
+def test_sigma_checks_reject_nan(identity_cov):
     with pytest.raises(ValueError, match="sigma"):
-        ideal_sync_mse_db(RowCovariance(np.eye(4), 2), math.nan)
+        ideal_sync_mse_db(identity_cov(2, 2), math.nan)
     with pytest.raises(ValueError, match="sigma"):
         mmse_error_covariance(np.eye(2), math.nan)
     with pytest.raises(ValueError, match="sigma"):
@@ -141,11 +140,10 @@ def test_single_channel_equals_ideal_for_one_block():
 
 
 def test_block_diagonal_equality():
-    block = spd(3, seed=4, boost=1.0)
-    full = np.zeros((9, 9))
-    for i in range(3):
-        full[i * 3 : (i + 1) * 3, i * 3 : (i + 1) * 3] = block
-    cov = RowCovariance(full, 3)
+    # the delta kernel: three uncoupled blocks, each (1 + jitter) I
+    cov = build_row_covariance(GridSpec(1, 3, 1, 3, 2), KernelSpec(1e-160, jitter=0.5))
+    block = cov.matrix[:3, :3]
+    assert np.array_equal(cov.matrix, np.kron(np.eye(3), block))
     for sigma in (0.3, 1.0):
         assert ideal_sync_mse_db(cov, sigma) == pytest.approx(
             single_channel_mse_db(block, sigma), rel=1e-12
