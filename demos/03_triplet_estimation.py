@@ -1,5 +1,5 @@
 """Estimate relative rotations on one triplet of blocks and cross-check the
-alternation against an exhaustive 2-D angle search.
+alternation against a global angle search (a theta12 grid, theta13 in closed form).
 
 Run from the repository root:  PYTHONPATH=src python3 demos/03_triplet_estimation.py
 """
@@ -55,5 +55,5 @@ print(f"estimated angles: R12 {angle(est.r12.matrix):7.2f} deg  R13 {angle(est.r
 
 a12, a13, grid_obj = brute_force_rotation_2d(*b, tiles, resolution=0.1)
 est_obj = triplet_objective(*b, tiles, est.r12, est.r13)
-print(f"brute force (0.1 deg grid): R12 {a12:7.2f} deg  R13 {a13:7.2f} deg")
+print(f"brute force (0.1 deg R12 grid): R12 {a12:7.2f} deg  R13 {a13:7.2f} deg")
 print(f"objectives: alternation {est_obj:.8f} vs grid search {grid_obj:.8f}")

@@ -203,27 +203,27 @@ class KernelSpec:
 class _KroneckerRoot(NamedTuple):
     """Square root R = P (Q_r (x) Q_c) S of a separable covariance U = R R^T.
 
-    ``rows``, ``cols`` are the 1-D kernels' eigenvectors, ``scale`` is S as
-    an (n_r, n_c) grid, and ``order`` the gather P: the row-major grid index
-    of every (block, cell) row of U.
+    ``rows``, ``cols`` are the 1-D kernels' eigenvectors, ``spectrum`` is
+    U's eigenvalues mu = S^2 as a read-only (n_r, n_c) grid, and ``order``
+    the gather P: the row-major grid index of every (block, cell) row of U.
     """
 
     rows: np.ndarray
     cols: np.ndarray
-    scale: np.ndarray
+    spectrum: np.ndarray
     order: np.ndarray
 
     def __matmul__(self, z: np.ndarray) -> np.ndarray:
         """R @ z for an (n_r * n_c, k) array z, as Q_r (S o Z) Q_c^T per column."""
-        n_r, n_c = self.scale.shape
-        w = (self.scale[:, :, None] * z.reshape(n_r, n_c, -1)).reshape(n_r, -1)
+        n_r, n_c = self.spectrum.shape
+        w = (np.sqrt(self.spectrum)[:, :, None] * z.reshape(n_r, n_c, -1)).reshape(n_r, -1)
         x = self.cols @ (self.rows @ w).reshape(n_r, n_c, -1)
         return x.reshape(n_r * n_c, -1)[self.order]
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         """(Q_r (x) Q_c)^T P^T x for an (n_r * n_c, k) array x, as an (n_r, n_c, k) array:
         x in the eigenbasis of U, as Q_r^T X Q_c per column."""
-        n_r, n_c = self.scale.shape
+        n_r, n_c = self.spectrum.shape
         y = np.empty_like(x)
         y[self.order] = x
         return self.cols.T @ (self.rows.T @ y.reshape(n_r, -1)).reshape(n_r, n_c, -1)
@@ -235,21 +235,19 @@ class RowCovariance:
     Only :func:`build_row_covariance` makes one, and checks it there.
     ``lattice`` is the (height_blocks, width_blocks, block_rows, block_cols)
     of the grid it was built for, ``block_size`` is D and ``size`` N*D. It
-    holds the table of distinct block tiles, the square root ``_root`` that
-    :func:`sample_channel` and :func:`log_prior_density` work through, and
-    the spectrum. ``matrix`` is formed from the table on first request and
-    then kept; :meth:`submatrix` and :func:`~mra_sync.sync.run_grid`'s
+    holds the table of distinct block tiles and the square root ``_root``
+    that :func:`sample_channel`, :func:`log_prior_density` and
+    :meth:`eigenvalues` read. ``matrix`` is formed from the table on first
+    request and then kept; :meth:`submatrix` and :func:`~mra_sync.sync.run_grid`'s
     clique operators read the table, so they never form it. Instances are
     immutable.
     """
 
-    def __init__(self, lattice: tuple, table: np.ndarray, root: _KroneckerRoot, eigenvalues):
+    def __init__(self, lattice: tuple, table: np.ndarray, root: _KroneckerRoot):
         h, w, rows, cols = lattice
-        eigenvalues = np.sort(eigenvalues)
-        eigenvalues.setflags(write=False)
         for name, value in (
             ("lattice", lattice), ("block_size", rows * cols), ("size", h * w * rows * cols),
-            ("_table", table), ("_root", root), ("_eigenvalues", eigenvalues), ("_matrix", None),
+            ("_table", table), ("_root", root), ("_matrix", None),
         ):
             object.__setattr__(self, name, value)
 
@@ -272,12 +270,8 @@ class RowCovariance:
         return self.size // self.block_size
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues of ``matrix`` in ascending order, as a read-only array.
-
-        :func:`build_row_covariance` sets them from the Kronecker structure of
-        the kernel.
-        """
-        return self._eigenvalues
+        """Eigenvalues of ``matrix`` (the Kronecker root's spectrum), unsorted and read-only."""
+        return self._root.spectrum.ravel()
 
     def _tile_ids(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The tile id of every block pair of the broadcast index arrays ``rows``, ``cols``:
@@ -367,12 +361,11 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
     The cells fill an n_r x n_c rectangle (n_r = H * block_rows, n_c =
     W * block_cols) and the kernel factors over its two axes, so U is a
     permutation P of K_r (x) K_c plus jitter * I. With K = Q Lambda Q^T for
-    the 1-D kernels, its eigenvalues are lambda_r,i * lambda_c,j + jitter
-    (kept for :meth:`RowCovariance.eigenvalues`), and as the jitter shifts
-    them all alike, U = R R^T for the root R = P (Q_r (x) Q_c)
-    (max(Lambda_r (x) Lambda_c, 0) + jitter)^(1/2) that :func:`sample_channel`
-    draws through and :func:`log_prior_density` solves with. U must be
-    positive definite on that clipped spectrum.
+    the 1-D kernels, and the jitter shifting all eigenvalues alike, U = R R^T
+    for the root R = P (Q_r (x) Q_c) mu^(1/2). Its spectrum mu =
+    max(Lambda_r (x) Lambda_c, 0) + jitter, rounding negatives clipped, is
+    kept once and read by :func:`sample_channel`, :func:`log_prior_density`
+    and :meth:`RowCovariance.eigenvalues`. U must be positive definite on it.
     """
     h, w, d = grid.height_blocks, grid.width_blocks, grid.block_cells
     n_r, n_c = h * grid.block_rows, w * grid.block_cols
@@ -395,8 +388,8 @@ def build_row_covariance(grid: GridSpec, kernel: KernelSpec) -> RowCovariance:
         raise ValueError("covariance tiles are not finite and exactly symmetric")
     rows, cols = grid.cell_positions().T
     order = (rows * n_c + cols).astype(np.intp)
-    root = _KroneckerRoot(q_r, q_c, np.sqrt(spectrum), order)
-    return RowCovariance(grid.lattice, t, root, np.outer(lam_r, lam_c).ravel() + kernel.jitter)
+    spectrum.setflags(write=False)
+    return RowCovariance(grid.lattice, t, _KroneckerRoot(q_r, q_c, spectrum, order))
 
 
 def _matrix_stack(matrices, empty: str, mixed: str) -> np.ndarray:
@@ -557,7 +550,7 @@ def log_prior_density(stacked: np.ndarray, cov: RowCovariance) -> float:
     # U = R R^T with R = P (Q_r (x) Q_c) S: in the eigenbasis W = (Q_r (x) Q_c)^T P^T H,
     # U is the diagonal mu = S^2, so the dense matrix and its factor are never formed
     w = cov._root.coefficients(h)
-    mu = cov._root.scale[:, :, None] ** 2
+    mu = cov._root.spectrum[:, :, None]
     quad = float(np.sum(w * w / mu))
     logdet = float(np.sum(np.log(mu)))
     d = h.shape[1]

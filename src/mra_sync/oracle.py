@@ -1,4 +1,4 @@
-"""Closed-form references and an exhaustive rotation-search oracle.
+"""Closed-form references and a global rotation-search oracle.
 
 The linear-MMSE error covariance gives two reference curves: the error under
 ideal synchronization (all rotations known, the full covariance usable) and
@@ -9,13 +9,14 @@ the error covariance sigma^2 U (U + sigma^2 I)^{-1} shares U's eigenvectors,
 so its trace is the sum of sigma^2 mu / (mu + sigma^2) over U's eigenvalues
 mu. The squared-exponential kernel is separable and the cells of any grid
 fill a full rectangle, so U is a permutation of K_rows (x) K_cols plus
-jitter on the diagonal, and mu = lambda_r * lambda_c + jitter exactly (the
-jitter shifts every eigenvalue of the Kronecker product alike). The two 1-D
-eigenproblems cost O(n_r^3 + n_c^3) instead of O((N*D)^3) per SNR. The
+jitter on the diagonal, and mu = max(lambda_r * lambda_c, 0) + jitter, the
+Kronecker root's spectrum (the jitter shifts every eigenvalue alike; the
+clip drops rounding negatives). The two 1-D eigenproblems cost
+O(n_r^3 + n_c^3) instead of O((N*D)^3) per SNR. The
 single-block line and the error covariance itself stay dense; their
 matrices are D x D or clique-sized. The brute-force search is an
-independent check of the triplet alternation for d = 2, evaluating the
-objective on a dense angle grid via its trigonometric expansion.
+independent check of the triplet alternation for d = 2: a global grid over
+one angle, with the other maximized in closed form.
 """
 
 from __future__ import annotations
@@ -94,54 +95,40 @@ def _trace_and_twist(m: np.ndarray) -> tuple:
 def brute_force_rotation_2d(
     b1, b2, b3, tiles: CovarianceTiles, resolution: float = 0.1
 ):
-    """Exhaustive 2-D grid search over the triplet's two rotation angles.
+    """Global search over the triplet's two rotation angles, exact in theta13.
 
-    Evaluates the full triplet objective at every (theta12, theta13) pair in
-    [0, 360)^2 at ``resolution`` degrees, using the closed trigonometric form
-    each term takes for d = 2, and returns the grid maximizer:
-    (theta12_deg, theta13_deg, objective). Intended as an independent oracle
-    on small instances; the cost is (360 / resolution)^2 evaluations.
+    For d = 2 and fixed theta12 the triplet objective is term1(theta12) +
+    A cos(theta13) + B sin(theta13), maximal at theta13 = atan2(B, A). The
+    profile term1 + hypot(A, B) is evaluated at every theta12 in [0, 360) at
+    ``resolution`` degrees, with no local optimizer, and its grid maximizer
+    is returned as (theta12_deg, theta13_deg, objective). An independent
+    oracle for the triplet alternation; the cost is 360 / resolution evaluations.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    b1 = np.asarray(b1, dtype=float)
-    b2 = np.asarray(b2, dtype=float)
-    b3 = np.asarray(b3, dtype=float)
-    if b1.shape[1] != 2:
-        raise ValueError("the exhaustive search supports d = 2 only")
+    if not resolution > 0:
+        raise ValueError(f"resolution must be positive, got {resolution!r}")
+    blocks = [np.asarray(b, dtype=float) for b in (b1, b2, b3)]
+    shape = (tiles.ua.shape[0], 2)
+    if any(b.shape != shape for b in blocks):
+        shapes = [b.shape for b in blocks]
+        raise ValueError(f"d = 2 only: expected three {shape} blocks, got {shapes}")
+    b1, b2, b3 = blocks
 
-    ma = b2.T @ tiles.ua.T @ b1
-    mb = b3.T @ tiles.ub.T @ b1
-    mc = b3.T @ tiles.uc.T @ b2
-    ta, wa = _trace_and_twist(ma)
-    tb, wb = _trace_and_twist(mb)
-    tc, wc = _trace_and_twist(mc)
+    ta, wa = _trace_and_twist(b2.T @ tiles.ua.T @ b1)
+    tb, wb = _trace_and_twist(b3.T @ tiles.ub.T @ b1)
+    tc, wc = _trace_and_twist(b3.T @ tiles.uc.T @ b2)
 
     angles_deg = np.arange(0.0, 360.0, resolution)
     theta = np.deg2rad(angles_deg)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
 
-    # term1(theta12) = cos(theta12) ta - sin(theta12) wa   (R21 = R(-theta12))
-    # term2(theta13) = cos(theta13) tb - sin(theta13) wb
-    # term3          = cos(theta13 - theta12) tc - sin(theta13 - theta12) wc
-    term1 = cos_t * ta - sin_t * wa
-    term2 = cos_t * tb - sin_t * wb
-
-    best_val = -np.inf
-    best_i = best_j = 0
-    chunk = 512
-    for start in range(0, len(theta), chunk):
-        stop = min(start + chunk, len(theta))
-        c12 = cos_t[start:stop, None]
-        s12 = sin_t[start:stop, None]
-        cos_diff = cos_t[None, :] * c12 + sin_t[None, :] * s12
-        sin_diff = sin_t[None, :] * c12 - cos_t[None, :] * s12
-        grid = term1[start:stop, None] + term2[None, :]
-        grid += tc * cos_diff - wc * sin_diff
-        flat = int(np.argmax(grid))
-        i, j = divmod(flat, grid.shape[1])
-        if grid[i, j] > best_val:
-            best_val = float(grid[i, j])
-            best_i, best_j = start + i, j
-
-    return float(angles_deg[best_i]), float(angles_deg[best_j]), best_val
+    # with R21 = R(-theta12), R31 = R(-theta13):
+    # term1 = cos(theta12) ta - sin(theta12) wa
+    # term2 = cos(theta13) tb - sin(theta13) wb
+    # term3 = cos(theta13 - theta12) tc - sin(theta13 - theta12) wc
+    # and term2 + term3 = A cos(theta13) + B sin(theta13)
+    a = tb + tc * cos_t + wc * sin_t
+    b = tc * sin_t - wc * cos_t - wb
+    profile = ta * cos_t - wa * sin_t + np.hypot(a, b)
+    best = int(np.argmax(profile))
+    theta13_deg = math.degrees(math.atan2(b[best], a[best])) % 360.0
+    return float(angles_deg[best]), theta13_deg, float(profile[best])

@@ -175,6 +175,11 @@ def test_mc_denoising_matches_closed_form():
     assert abs(mc - closed) < 0.02 * closed
 
 
+def rot(theta_deg):
+    t = math.radians(theta_deg)
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
 def brute_force_reference_instance(default_grid, default_cov, seed, snr_db=20.0):
     sigma = sigma_from_snr_db(snr_db)
     rng = np.random.default_rng(seed)
@@ -199,10 +204,6 @@ def test_brute_force_recovers_planted_angles():
     u[np.diag_indices_from(u)] += 1e-6
     tiles = split_triplet_tiles(negated_noisy_inverse(u, 0.0), d_cells)
     x = np.linalg.cholesky(k + 1e-6 * np.eye(d_cells)) @ rng.standard_normal((d_cells, 2))
-
-    def rot(theta_deg):
-        t = math.radians(theta_deg)
-        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
 
     planted12, planted13 = 73.0, 211.0
     a12, a13, _ = brute_force_rotation_2d(
@@ -240,11 +241,6 @@ def test_brute_force_objective_matches_sync_module(default_grid, default_cov):
     # the trigonometric expansion and the trace form must agree exactly
     b1, b2, b3, tiles = brute_force_reference_instance(default_grid, default_cov, 5)
     a12, a13, grid_obj = brute_force_rotation_2d(b1, b2, b3, tiles, resolution=1.0)
-
-    def rot(theta_deg):
-        t = math.radians(theta_deg)
-        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-
     direct = triplet_objective(b1, b2, b3, tiles, rot(a12), rot(a13))
     assert grid_obj == pytest.approx(direct, rel=1e-10)
 
@@ -253,5 +249,26 @@ def test_brute_force_rejects_bad_inputs(default_grid, default_cov):
     b1, b2, b3, tiles = brute_force_reference_instance(default_grid, default_cov, 0)
     with pytest.raises(ValueError):
         brute_force_rotation_2d(b1, b2, b3, tiles, resolution=0.0)
+    with pytest.raises(ValueError, match="resolution"):
+        brute_force_rotation_2d(b1, b2, b3, tiles, resolution=math.nan)
     with pytest.raises(ValueError):
         brute_force_rotation_2d(b1[:, :1], b2[:, :1], b3[:, :1], tiles)
+    # every block is checked, not only the first
+    wide = np.hstack([b2, b2[:, :1]])
+    with pytest.raises(ValueError, match="d = 2"):
+        brute_force_rotation_2d(b1, wide, b3, tiles, resolution=10.0)
+    with pytest.raises(ValueError, match="d = 2"):
+        brute_force_rotation_2d(b1, b2, b3[:-1], tiles, resolution=10.0)
+
+
+@pytest.mark.parametrize("seed, snr_db", [(0, 20.0), (5, 20.0), (23, 20.0), (7, 0.0)])
+def test_brute_force_closed_form_theta13_is_the_maximum(default_grid, default_cov, seed, snr_db):
+    b1, b2, b3, tiles = brute_force_reference_instance(default_grid, default_cov, seed, snr_db)
+    a12, a13, best = brute_force_rotation_2d(b1, b2, b3, tiles)
+
+    # the reported objective is attained at the reported angles
+    assert best == pytest.approx(triplet_objective(b1, b2, b3, tiles, rot(a12), rot(a13)), rel=1e-12)
+    # and no point of a 5 degree grid over both angles beats it
+    grid = [rot(5.0 * k) for k in range(72)]
+    grid_best = max(triplet_objective(b1, b2, b3, tiles, r12, r13) for r12 in grid for r13 in grid)
+    assert best >= grid_best - 1e-12 * abs(best)

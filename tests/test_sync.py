@@ -416,7 +416,7 @@ def test_run_grid_rejects_bool_block_indices():
     assert np.array_equal(got.estimates.blocks, expected.estimates.blocks)
 
 
-def test_run_grid_gathers_clique_covariances_in_small_chunks():
+def test_run_grid_keeps_clique_covariance_memory_small():
     # 242 triplets of 36 x 36 submatrices: gathering them all would take 2.4 MiB
     grid = GridSpec(12, 12, 3, 4, 2)
     cov = build_row_covariance(grid, KernelSpec(5.0))
@@ -432,7 +432,7 @@ def test_run_grid_gathers_clique_covariances_in_small_chunks():
     assert peak - before < 2**20 + 2**18
 
 
-def test_distinct_covariances_group_built_and_raw_covariances_alike(default_grid, default_cov):
+def test_distinct_covariances_group_cliques_by_block_offsets(default_grid, default_cov):
     # cliques are grouped by block offsets: every clique's group holds its own
     # submatrix's bytes, and groups are numbered in order of their first clique
     strip, column = GridSpec(1, 7, 3, 4, 3), GridSpec(5, 1, 2, 3, 2)
